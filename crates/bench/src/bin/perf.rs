@@ -1,12 +1,7 @@
-//! End-to-end perf harness — the first point of the repo's BENCH
-//! trajectory (ISSUE 5).
+//! Simulator perf harness — the source of the repo's BENCH trajectory.
 //!
-//! Times representative registry scenarios under both load-accounting
-//! modes of `ecp-simnet` — `Scratch` (the pre-incremental engine:
-//! every load query rescans all flows × paths × arcs) and
-//! `Incremental` (per-arc dirty recompute) — verifies the two produce
-//! byte-identical reports, and emits `BENCH_simnet.json` with the
-//! before/after wall-clock and speedups. A second pass measures the
+//! Times the simulation of representative registry scenarios
+//! (`sim_ms`) and emits `BENCH_simnet.json`. A second pass measures the
 //! telemetry overhead (no-op sink vs JSONL sink, `overhead` block) and
 //! asserts a traced run leaves the report byte-identical.
 //!
@@ -20,12 +15,11 @@
 //!              [--against SHA]                                  # HEAD vs snapshot; exit 1 on regression, 2 without baseline
 //! ```
 //!
-//! Timing is best-of-`--iters` per (scenario, mode); planning
-//! (topology build, Dijkstra/Yen, oracle probes) happens once per
-//! scenario through `ecp_scenario::resolve` and is excluded, so the
-//! numbers isolate the simulator hot loop the incremental accounting
-//! targets. Criterion microbenches of the individual kernels live in
-//! `crates/bench/benches/{load_accounting,routing_paths}.rs`.
+//! Timing is best-of-`--iters` per scenario; planning (topology build,
+//! Dijkstra/Yen, oracle probes) happens once per scenario through
+//! `ecp_scenario::resolve` and is excluded, so the numbers isolate the
+//! simulator hot loop. Criterion microbenches of the individual kernels
+//! live in `crates/bench/benches/{load_accounting,routing_paths}.rs`.
 //!
 //! The **observatory** subcommands turn one-off BENCH files into a
 //! trajectory. `record` flattens a BENCH file into scalar metrics and
@@ -34,15 +28,15 @@
 //! snapshots; `gate` compares a freshly-measured BENCH file against the
 //! last recorded snapshot (or the last one matching a `--against
 //! <git_sha>` prefix) with per-metric direction heuristics
-//! (`*_ms`/allocs/bytes regress upward, `speedup`/`rounds_per_s`
-//! regress downward) and a relative noise threshold (`--threshold 25`
+//! (`*_ms`/allocs/bytes regress upward, `rounds_per_s` regresses
+//! downward) and a relative noise threshold (`--threshold 25`
 //! or `25%`), printing greppable `GATE OK` / `GATE FAIL` lines and
 //! exiting 1 on any regression or 2 (one-line `GATE ERROR` on stderr)
 //! when the history is missing/empty or no snapshot matches.
 
 use ecp_bench::{arg, print_table};
 use ecp_scenario::{run_resolved, run_resolved_traced, ControlSpec, ScenarioReport};
-use ecp_simnet::{set_default_load_accounting, LoadAccounting, SimConfig, Simulation};
+use ecp_simnet::{SimConfig, Simulation};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -59,10 +53,8 @@ static COUNTING_ALLOC: ecp_telemetry::alloc_count::CountingAllocator =
 struct ScenarioTiming {
     id: String,
     samples: usize,
-    scratch_ms: f64,
-    incremental_ms: f64,
-    speedup: f64,
-    reports_identical: bool,
+    /// Best-of-`iters` wall-clock of the simulation, ms.
+    sim_ms: f64,
 }
 
 #[derive(Serialize)]
@@ -81,7 +73,7 @@ struct OverheadTiming {
 
 /// The telemetry-overhead block: the cost of running the te-stability
 /// family with the JSONL sink on versus the default no-op sink. The
-/// no-op path is the one golden hashes and the speedup numbers above
+/// no-op path is the one golden hashes and the `sim_ms` numbers above
 /// are measured on; this block pins that tracing is pay-as-you-go.
 #[derive(Serialize)]
 struct TelemetryOverhead {
@@ -127,32 +119,25 @@ struct BenchFile {
     /// (`te_stability_scaled`): 1 = the golden-pinned registry shape.
     te_stability_scale: usize,
     /// The te-stability family: sustained-overload coupled flows on
-    /// the PoP-access ISP, one entry per control policy. The regime
-    /// the ≥5× (≥20× desync) end-to-end target is measured in.
+    /// the PoP-access ISP, one entry per control policy.
     te_stability: Vec<ScenarioTiming>,
     /// Other representative simnet registry scenarios (CI-scaled).
     representative: Vec<ScenarioTiming>,
-    min_te_stability_speedup: f64,
-    /// Wall-clock of running the whole te-stability family end to end,
-    /// before (scratch) and after (incremental + decision skipping).
-    family_scratch_ms: f64,
-    family_incremental_ms: f64,
-    family_speedup: f64,
-    /// Cost of turning the telemetry JSONL sink on (incremental mode).
+    /// Wall-clock of simulating the whole te-stability family.
+    family_sim_ms: f64,
+    /// Cost of turning the telemetry JSONL sink on.
     overhead: TelemetryOverhead,
     /// Per-policy decision-path throughput + allocation accounting.
     allocs: Vec<PolicyAllocs>,
 }
 
-/// Best-of-`iters` wall-clock of one scenario under one accounting
-/// mode; returns (millis, last report).
-fn time_mode(
+/// Best-of-`iters` wall-clock of one scenario; returns (millis, last
+/// report).
+fn time_run(
     scenario: &ecp_scenario::Scenario,
     resolved: &ecp_scenario::ResolvedScenario,
-    mode: LoadAccounting,
     iters: usize,
 ) -> (f64, ScenarioReport) {
-    set_default_load_accounting(mode);
     let mut best = f64::INFINITY;
     let mut last = None;
     for _ in 0..iters.max(1) {
@@ -171,42 +156,28 @@ fn time_scenario(
     iters: usize,
 ) -> ScenarioTiming {
     // Untimed warmup: populates the resolution's lazy caches (the
-    // max-feasible oracle probe) and the allocator, so both arms time
-    // only the simulation even at --iters 1.
+    // max-feasible oracle probe) and the allocator, so the timed runs
+    // measure only the simulation even at --iters 1.
     let _ = run_resolved(scenario, resolved).expect("perf scenario runs");
-    let (scratch_ms, scratch_report) =
-        time_mode(scenario, resolved, LoadAccounting::Scratch, iters);
-    let (incremental_ms, incremental_report) =
-        time_mode(scenario, resolved, LoadAccounting::Incremental, iters);
-    let identical = serde_json::to_string(&scratch_report).expect("report serializes")
-        == serde_json::to_string(&incremental_report).expect("report serializes");
-    assert!(
-        identical,
-        "{id}: incremental report diverged from the scratch oracle"
-    );
+    let (sim_ms, report) = time_run(scenario, resolved, iters);
     ScenarioTiming {
         id: id.to_string(),
-        samples: incremental_report.samples,
-        scratch_ms,
-        incremental_ms,
-        speedup: scratch_ms / incremental_ms.max(1e-9),
-        reports_identical: identical,
+        samples: report.samples,
+        sim_ms,
     }
 }
 
-/// Sink-off vs JSONL-sink-on wall-clock of one scenario (incremental
-/// accounting, best of `iters`). Asserts the serialized reports are
-/// byte-identical: with `metrics.telemetry` unset, a traced run must
-/// not perturb the report in any way.
+/// Sink-off vs JSONL-sink-on wall-clock of one scenario (best of
+/// `iters`). Asserts the serialized reports are byte-identical: with
+/// `metrics.telemetry` unset, a traced run must not perturb the report
+/// in any way.
 fn time_overhead(
     id: &str,
     scenario: &ecp_scenario::Scenario,
     resolved: &ecp_scenario::ResolvedScenario,
     iters: usize,
 ) -> OverheadTiming {
-    set_default_load_accounting(LoadAccounting::Incremental);
-    let (baseline_ms, baseline_report) =
-        time_mode(scenario, resolved, LoadAccounting::Incremental, iters);
+    let (baseline_ms, baseline_report) = time_run(scenario, resolved, iters);
     let mut traced_ms = f64::INFINITY;
     let mut last = None;
     for _ in 0..iters.max(1) {
@@ -238,7 +209,6 @@ fn time_overhead(
 /// then `rounds` rounds are timed — and, with `count-allocs`, their
 /// heap allocations counted.
 fn time_decision_path(id: &str, control: &ControlSpec, rounds: u64) -> PolicyAllocs {
-    set_default_load_accounting(LoadAccounting::Incremental);
     let scenario = ecp_bench::scenarios::te_stability(10.0, 0.7, *control);
     let resolved = ecp_scenario::resolve(&scenario).expect("perf scenario resolves");
     let cfg = SimConfig {
@@ -256,7 +226,6 @@ fn time_decision_path(id: &str, control: &ControlSpec, rounds: u64) -> PolicyAll
         cfg,
         control.build(),
     );
-    sim.set_load_accounting(LoadAccounting::Incremental);
     for &(o, d) in &resolved.pairs {
         sim.add_flow(&resolved.tables, o, d, 2e7);
     }
@@ -408,7 +377,7 @@ fn default_history_path() -> String {
 
 /// `perf record`: flatten a BENCH file and append one snapshot to the
 /// history JSONL. Sha/timestamp/quick come from the BENCH file itself
-/// (schema /4 stamps them) with a fresh fallback for older files.
+/// (schema /4 and later stamp them) with a fresh fallback for older files.
 fn cmd_record() {
     let bench: String = arg("bench", "BENCH_simnet.json".to_string());
     let history: String = arg("history", default_history_path());
@@ -465,14 +434,7 @@ fn cmd_history() {
     };
     let (headers, rows): (Vec<&str>, Vec<Vec<String>>) = if metric.is_empty() {
         (
-            vec![
-                "recorded (UTC)",
-                "sha",
-                "quick",
-                "family speedup",
-                "min speedup",
-                "family incr (ms)",
-            ],
+            vec!["recorded (UTC)", "sha", "quick", "family sim (ms)"],
             records
                 .iter()
                 .map(|r| {
@@ -480,9 +442,7 @@ fn cmd_history() {
                         r.recorded_at_utc.clone(),
                         r.git_sha.chars().take(12).collect(),
                         r.quick.to_string(),
-                        fmt(r, "family_speedup"),
-                        fmt(r, "min_te_stability_speedup"),
-                        fmt(r, "family_incremental_ms"),
+                        fmt(r, "family_sim_ms"),
                     ]
                 })
                 .collect(),
@@ -522,7 +482,7 @@ fn direction(name: &str) -> Direction {
     let field = name.rsplit('.').next().unwrap_or(name);
     if field.ends_with("_ms") || field.contains("allocs") || field.contains("bytes") {
         Direction::LowerIsBetter
-    } else if field.contains("rounds_per_s") || field.contains("speedup") {
+    } else if field.contains("rounds_per_s") {
         Direction::HigherIsBetter
     } else {
         Direction::Neutral
@@ -675,13 +635,7 @@ fn main() {
         representative.push(time_scenario(id, &scenario, &resolved, iters));
     }
 
-    let min_speedup = te_stability
-        .iter()
-        .map(|t| t.speedup)
-        .fold(f64::INFINITY, f64::min);
-    let family_scratch_ms: f64 = te_stability.iter().map(|t| t.scratch_ms).sum();
-    let family_incremental_ms: f64 = te_stability.iter().map(|t| t.incremental_ms).sum();
-    let family_speedup = family_scratch_ms / family_incremental_ms.max(1e-9);
+    let family_sim_ms: f64 = te_stability.iter().map(|t| t.sim_ms).sum();
 
     let rows: Vec<Vec<String>> = te_stability
         .iter()
@@ -689,22 +643,17 @@ fn main() {
         .map(|t| {
             vec![
                 t.id.clone(),
-                format!("{:.1}", t.scratch_ms),
-                format!("{:.1}", t.incremental_ms),
-                format!("{:.1}x", t.speedup),
+                t.samples.to_string(),
+                format!("{:.1}", t.sim_ms),
             ]
         })
         .collect();
     print_table(
-        &format!("end-to-end wall-clock, best of {iters} (scratch vs incremental)"),
-        &["scenario", "scratch (ms)", "incremental (ms)", "speedup"],
+        &format!("simulation wall-clock, best of {iters}"),
+        &["scenario", "samples", "sim (ms)"],
         &rows,
     );
-    println!("min te-stability speedup: {min_speedup:.1}x");
-    println!(
-        "te-stability family end-to-end: {family_scratch_ms:.0} ms scratch vs \
-         {family_incremental_ms:.0} ms incremental ({family_speedup:.1}x)"
-    );
+    println!("te-stability family: {family_sim_ms:.0} ms");
 
     let family_baseline_ms: f64 = overhead_scenarios.iter().map(|t| t.baseline_ms).sum();
     let family_traced_ms: f64 = overhead_scenarios.iter().map(|t| t.traced_ms).sum();
@@ -760,17 +709,17 @@ fn main() {
     if ceiling_s > 0.0 {
         for t in &te_stability {
             assert!(
-                t.incremental_ms / 1e3 <= ceiling_s,
-                "{} took {:.1} s incremental, over the {ceiling_s} s ceiling",
+                t.sim_ms / 1e3 <= ceiling_s,
+                "{} took {:.1} s, over the {ceiling_s} s ceiling",
                 t.id,
-                t.incremental_ms / 1e3
+                t.sim_ms / 1e3
             );
         }
         println!("ceiling ok: every te-stability run under {ceiling_s} s");
     }
 
     let file = BenchFile {
-        schema: "ecp-bench-perf/4",
+        schema: "ecp-bench-perf/5",
         git_sha: git_sha(),
         recorded_at_utc: utc_now(),
         quick,
@@ -780,10 +729,7 @@ fn main() {
         te_stability_scale: scale,
         te_stability,
         representative,
-        min_te_stability_speedup: min_speedup,
-        family_scratch_ms,
-        family_incremental_ms,
-        family_speedup,
+        family_sim_ms,
         overhead,
         allocs,
     };

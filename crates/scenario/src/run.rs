@@ -600,13 +600,19 @@ impl TraceOutput {
 
 /// Reject spec combinations an engine would otherwise silently ignore
 /// (control policies, stability analysis, and telemetry capture only
-/// exist in the event-driven simulator).
+/// exist in the event-driven simulator), and simulator knobs the
+/// simnet engine cannot run (`SimSpec::validate`).
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
     scenario
         .control
         .validate()
         .map_err(ScenarioError::Invalid)?;
-    if !matches!(scenario.engine, EngineSpec::Simnet) {
+    if matches!(scenario.engine, EngineSpec::Simnet) {
+        scenario
+            .sim
+            .validate(scenario.duration_s, &scenario.metrics, &scenario.events)
+            .map_err(ScenarioError::Invalid)?;
+    } else {
         let engine = match &scenario.engine {
             EngineSpec::Replay(_) => "replay",
             EngineSpec::Packet(_) => "packet",

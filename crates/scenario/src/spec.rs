@@ -3,6 +3,7 @@
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::Program;
 use serde::{Deserialize, Serialize};
+use std::fmt::Display;
 
 /// A complete, self-contained experiment description. Serializable to
 /// TOML/JSON; buildable with [`ScenarioBuilder`](crate::ScenarioBuilder).
@@ -686,6 +687,89 @@ impl Default for SimSpec {
 }
 
 impl SimSpec {
+    /// Reject a simnet run the simulator cannot execute: a zero or
+    /// non-finite sampling/control interval would reschedule its event
+    /// at the same instant forever, and a negative or NaN time or TE
+    /// knob would run silently to a meaningless report. Checks these
+    /// knobs together with the scenario's `duration_s`, observatory
+    /// interval and scripted event times.
+    pub(crate) fn validate(
+        &self,
+        duration_s: f64,
+        metrics: &MetricsSpec,
+        events: &[EventSpec],
+    ) -> Result<(), String> {
+        // Names are `Display`, so an event's is formatted only on failure.
+        let positive = |name: &dyn Display, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite and > 0, got {v}"))
+            }
+        };
+        let non_negative = |name: &dyn Display, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite and >= 0, got {v}"))
+            }
+        };
+        let finite = |name: &dyn Display, v: f64| {
+            if v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite, got {v}"))
+            }
+        };
+        positive(&"sim.control_interval_s", self.control_interval_s)?;
+        positive(&"sim.sample_interval_s", self.sample_interval_s)?;
+        if let Some(dt) = metrics.timeseries_interval_s {
+            positive(&"metrics.timeseries_interval_s", dt)?;
+        }
+        non_negative(&"duration_s", duration_s)?;
+        non_negative(&"sim.wake_time_s", self.wake_time_s)?;
+        non_negative(&"sim.detect_delay_s", self.detect_delay_s)?;
+        non_negative(&"sim.sleep_after_s", self.sleep_after_s)?;
+        non_negative(&"sim.te_start_s", self.te_start_s)?;
+        finite(&"sim.te_threshold", self.te_threshold)?;
+        finite(&"sim.te_step", self.te_step)?;
+        finite(&"sim.te_min_share", self.te_min_share)?;
+        for (i, ev) in events.iter().enumerate() {
+            let time = |field: &str, v: f64| non_negative(&format_args!("events[{i}].{field}"), v);
+            match *ev {
+                EventSpec::LinkFail { at, .. }
+                | EventSpec::LinkRepair { at, .. }
+                | EventSpec::NodeFail { at, .. }
+                | EventSpec::NodeRepair { at, .. } => time("at", at)?,
+                EventSpec::SetWakeTime { at, wake_time_s } => {
+                    time("at", at)?;
+                    time("wake_time_s", wake_time_s)?;
+                }
+                EventSpec::SetThreshold { at, threshold } => {
+                    time("at", at)?;
+                    finite(&format_args!("events[{i}].threshold"), threshold)?;
+                }
+                EventSpec::FailureBurst {
+                    start,
+                    spacing_s,
+                    repair_after_s,
+                    ..
+                } => {
+                    time("start", start)?;
+                    time("spacing_s", spacing_s)?;
+                    time("repair_after_s", repair_after_s)?;
+                }
+                EventSpec::MaintenanceWindow {
+                    start, duration_s, ..
+                } => {
+                    time("start", start)?;
+                    time("duration_s", duration_s)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Convert to the simulator configuration.
     pub fn to_config(&self) -> ecp_simnet::SimConfig {
         ecp_simnet::SimConfig {

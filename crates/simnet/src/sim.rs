@@ -12,56 +12,6 @@ use respons_core::PathTables;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU8;
-use std::sync::OnceLock;
-
-/// How a [`Simulation`] maintains per-arc delivered load.
-///
-/// The load vector is the online TE loop's shared observable: every
-/// control round, recorder sample, and delivery query needs it. The
-/// two modes are **bit-identical** in every output (pinned by the
-/// golden-parity suite and a continuous `debug_assert` cross-check);
-/// they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum LoadAccounting {
-    /// Maintain `loads` incrementally: O(changed paths × path length)
-    /// bookkeeping per event plus a dirty-arc recompute, instead of an
-    /// O(flows × paths × arcs) scan per query. The default.
-    #[default]
-    Incremental = 0,
-    /// Recompute every load query from scratch — the pre-incremental
-    /// behavior, kept as the verification oracle and as the "before"
-    /// arm of the perf harness (`ecp-bench perf`, BENCH_simnet.json).
-    Scratch = 1,
-}
-
-/// Unset sentinel for the process-wide accounting override.
-static ACCOUNTING_OVERRIDE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// The accounting mode new simulations start in: the value set by
-/// [`set_default_load_accounting`] if any, else `ECP_LOAD_ACCOUNTING`
-/// (`scratch` selects the slow oracle; read once), else incremental.
-pub fn default_load_accounting() -> LoadAccounting {
-    match ACCOUNTING_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => LoadAccounting::Incremental,
-        1 => LoadAccounting::Scratch,
-        _ => {
-            static FROM_ENV: OnceLock<LoadAccounting> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| match std::env::var("ECP_LOAD_ACCOUNTING") {
-                Ok(v) if v.eq_ignore_ascii_case("scratch") => LoadAccounting::Scratch,
-                _ => LoadAccounting::Incremental,
-            })
-        }
-    }
-}
-
-/// Override the process-wide default accounting mode (the perf harness
-/// uses this to time both arms in one process). Affects simulations
-/// constructed afterwards; running ones keep their mode.
-pub fn set_default_load_accounting(mode: LoadAccounting) {
-    ACCOUNTING_OVERRIDE.store(mode as u8, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Handle to a flow (OD traffic aggregate) in a [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -192,17 +142,21 @@ struct QItem {
 
 impl PartialEq for QItem {
     fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for QItem {}
 impl Ord for QItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by (t, seq)
+        // min-heap by (t, seq). `total_cmp` orders the pairs
+        // `partial_cmp` cannot, so a NaN time sorts after every finite
+        // one instead of silently corrupting the heap; the cheaper
+        // `partial_cmp` still decides every other pair, on the event
+        // loop's hottest path.
         other
             .t
             .partial_cmp(&self.t)
-            .unwrap_or(Ordering::Equal)
+            .unwrap_or_else(|| other.t.total_cmp(&self.t))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -299,6 +253,26 @@ struct DecisionScratch {
     to_mark: Vec<(usize, usize)>,
 }
 
+/// Per-arc utilization summary (see [`Simulation::utilization`]).
+struct Utilization {
+    max: f64,
+    sum: f64,
+    /// Arcs with positive capacity.
+    arcs: u64,
+    /// Arcs above the TE threshold.
+    overloaded: u32,
+}
+
+/// Delivery totals of one pass over every path (see
+/// [`Simulation::delivery`]).
+struct Delivery {
+    offered: f64,
+    /// Sum of per-flow subtotals (the recorder's `delivered_total`).
+    by_flow: f64,
+    /// Running total over every path (the observatory's numerator).
+    running: f64,
+}
+
 /// The event-driven network simulation.
 ///
 /// Generic over a [`TelemetrySink`]; the default [`NoopSink`] compiles
@@ -332,16 +306,14 @@ pub struct Simulation<'a, S: TelemetrySink = NoopSink> {
     /// decisions (default: [`ecp_control::Undamped`], the original
     /// hard-wired `decide_shares` behavior).
     policy: Box<dyn ControlPolicy>,
-    /// Load-accounting mode (incremental by default).
-    accounting: LoadAccounting,
     /// Cached [`ControlPolicy::memoryless`] of `policy`: decision
     /// skipping for observation-clean agents is only sound for pure
-    /// policies (and only engages in `Incremental` mode, where load
-    /// changes propagate to the per-flow dirty flags).
+    /// policies.
     policy_memoryless: bool,
-    /// Incremental per-arc delivered load. In `Incremental` mode this
-    /// is flushed after every event and is bit-identical to
-    /// [`Simulation::arc_loads_scratch`] at every public API boundary.
+    /// Incremental per-arc delivered load, flushed after every event
+    /// and bit-identical to [`Simulation::arc_loads_scratch`] at every
+    /// public API boundary. Every observation, sample and delivery
+    /// query reads it.
     loads: Vec<f64>,
     /// Arcs whose load must be recomputed at the next flush.
     arc_dirty: Vec<bool>,
@@ -452,7 +424,6 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             recorder: Recorder::new(),
             always_on_links,
             policy,
-            accounting: default_load_accounting(),
             policy_memoryless,
             loads: vec![0.0; n_arcs],
             arc_dirty: vec![false; n_arcs],
@@ -561,9 +532,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.mark_path_dirty(fi, pi);
             }
         }
-        if self.accounting == LoadAccounting::Incremental {
-            self.flush_loads();
-        }
+        self.flush_loads();
         FlowId(fi)
     }
 
@@ -681,10 +650,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Delivered rate per installed path of a flow.
     pub fn per_path_delivered(&self, f: FlowId) -> Vec<f64> {
-        let loads = self.loads_for_query();
         let flow = &self.flows[f.0];
         (0..flow.paths.len())
-            .map(|pi| self.path_delivery(flow, pi, &loads))
+            .map(|pi| self.path_delivery(flow, pi))
             .collect()
     }
 
@@ -717,14 +685,12 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if S::SPANS {
             self.sink.span_exit(SpanName::EventDrain);
         }
-        if self.accounting == LoadAccounting::Incremental {
-            if S::SPANS {
-                self.sink.span_enter(SpanName::LoadFlush);
-            }
-            self.flush_loads();
-            if S::SPANS {
-                self.sink.span_exit(SpanName::LoadFlush);
-            }
+        if S::SPANS {
+            self.sink.span_enter(SpanName::LoadFlush);
+        }
+        self.flush_loads();
+        if S::SPANS {
+            self.sink.span_exit(SpanName::LoadFlush);
         }
     }
 
@@ -963,8 +929,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Delivered (transmitted) load per arc, recomputed from scratch in
     /// O(flows × paths × arcs) — the pre-incremental hot loop, kept
-    /// public as the verification oracle (debug cross-checks, the
-    /// parity proptests) and as the perf harness baseline.
+    /// public as the test and debug oracle for the maintained vector
+    /// (per-event debug cross-checks, the parity proptests).
     pub fn arc_loads_scratch(&self) -> Vec<f64> {
         let mut load = vec![0.0; self.topo.arc_count()];
         for fl in &self.flows {
@@ -984,46 +950,9 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// The incrementally-maintained per-arc delivered load. Clean (and
     /// in debug builds, cross-checked against
-    /// [`Simulation::arc_loads_scratch`]) at every public API boundary;
-    /// meaningful in [`LoadAccounting::Incremental`] mode only.
+    /// [`Simulation::arc_loads_scratch`]) at every public API boundary.
     pub fn current_arc_loads(&self) -> &[f64] {
         &self.loads
-    }
-
-    /// This simulation's accounting mode.
-    pub fn load_accounting(&self) -> LoadAccounting {
-        self.accounting
-    }
-
-    /// Switch accounting modes mid-run (results are bit-identical
-    /// either way; only wall-clock changes). Entering `Incremental`
-    /// rebuilds the load cache from the oracle.
-    pub fn set_load_accounting(&mut self, mode: LoadAccounting) {
-        if self.accounting == mode {
-            return;
-        }
-        self.accounting = mode;
-        if mode == LoadAccounting::Incremental {
-            for ai in self.dirty_arcs.drain(..) {
-                self.arc_dirty[ai] = false;
-            }
-            self.loads = self.arc_loads_scratch();
-            // Load-change propagation to the per-flow observation flags
-            // was off while in scratch mode.
-            for fl in &mut self.flows {
-                fl.obs_dirty = true;
-            }
-        }
-    }
-
-    /// The load vector for a read-only query: borrowed from the
-    /// maintained cache in incremental mode, recomputed in scratch
-    /// mode.
-    fn loads_for_query(&self) -> std::borrow::Cow<'_, [f64]> {
-        match self.accounting {
-            LoadAccounting::Incremental => std::borrow::Cow::Borrowed(&self.loads[..]),
-            LoadAccounting::Scratch => std::borrow::Cow::Owned(self.arc_loads_scratch()),
-        }
     }
 
     /// Mark every arc of one path for recomputation at the next flush.
@@ -1081,8 +1010,8 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     }
 
     /// Full consistency check of the incremental state against the
-    /// from-scratch recomputation (debug builds; also used by the
-    /// parity proptests).
+    /// from-scratch recomputation (debug builds after every event; the
+    /// parity proptests call it after every event in any build).
     pub fn incremental_state_matches_scratch(&self) -> bool {
         let scratch = self.arc_loads_scratch();
         if scratch.len() != self.loads.len()
@@ -1278,9 +1207,10 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         })
     }
 
-    /// Delivered rate of one path of one flow given arc loads, applying
-    /// proportional throttling at overloaded arcs.
-    fn path_delivery(&self, flow: &Flow, pi: usize, loads: &[f64]) -> f64 {
+    /// Delivered rate of one path of one flow under the current arc
+    /// loads, applying proportional throttling at overloaded arcs.
+    fn path_delivery(&self, flow: &Flow, pi: usize) -> f64 {
+        let loads = &self.loads;
         let arcs = flow.path_arcs(pi);
         let r = flow.offered * flow.shares[pi];
         if r <= 0.0 || !self.path_ready(arcs) {
@@ -1298,19 +1228,15 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
 
     /// Whether any positive-rate path is assigned to a link, in either
     /// direction — the sleep-check guard. O(1) from the incremental
-    /// assigned counts (debug-checked against the scan); the scratch
-    /// mode keeps the original O(flows × paths × arcs) rescan.
+    /// assigned counts (debug-checked against the scan).
     fn link_has_assigned_traffic(&self, l: ArcId) -> bool {
-        match self.accounting {
-            LoadAccounting::Incremental => {
-                let has = self.assigned[l.idx()] > 0;
-                debug_assert_eq!(has, self.link_has_assigned_traffic_scratch(l));
-                has
-            }
-            LoadAccounting::Scratch => self.link_has_assigned_traffic_scratch(l),
-        }
+        let has = self.assigned[l.idx()] > 0;
+        debug_assert_eq!(has, self.link_has_assigned_traffic_scratch(l));
+        has
     }
 
+    /// The O(flows × paths × arcs) rescan behind
+    /// [`Simulation::link_has_assigned_traffic`], kept as its oracle.
     fn link_has_assigned_traffic_scratch(&self, l: ArcId) -> bool {
         let rev = self.topo.reverse(l);
         for fl in &self.flows {
@@ -1345,15 +1271,14 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
                 self.set_link_state(l, LinkPowerState::Active);
             }
         }
-        if self.accounting == LoadAccounting::Incremental {
-            self.flush_loads();
-        }
+        self.flush_loads();
     }
 
-    /// What one agent sees of its paths given an arc-load snapshot,
+    /// What one agent sees of its paths under the current arc loads,
     /// written into `out` (cleared first; the caller's reusable
     /// buffer).
-    fn flow_views_into(&self, fi: usize, loads: &[f64], out: &mut Vec<PathView>) {
+    fn flow_views_into(&self, fi: usize, out: &mut Vec<PathView>) {
+        let loads = &self.loads;
         let threshold = self.cfg.te.threshold;
         let fl = &self.flows[fi];
         out.clear();
@@ -1375,21 +1300,21 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         }
     }
 
-    /// One agent's observe + decide against a load snapshot (shared by
-    /// the batched round and the phase-jittered path, so both always
-    /// construct the observation identically). `cached` observes the
-    /// maintained load cache instead of a snapshot — sound whenever no
-    /// share application happens between the observation and the
-    /// decision: batched rounds defer every apply until all phase-0
-    /// decisions are in, and the phase-jittered path decides one agent
-    /// at a time. Writes the decided shares into `out`; the views
-    /// scratch is reused across calls, so nothing here allocates.
-    fn decide_flow_into(&mut self, fi: usize, loads: Option<&[f64]>, out: &mut Vec<f64>) {
+    /// One agent's observe + decide against the maintained load vector
+    /// (shared by the batched round and the phase-jittered path, so both
+    /// always construct the observation identically). The vector is a
+    /// consistent snapshot whenever no share application happens
+    /// between the observation and the decision: batched rounds defer
+    /// every apply until all phase-0 decisions are in, and the
+    /// phase-jittered path decides one agent at a time. Writes the
+    /// decided shares into `out`; the views scratch is reused across
+    /// calls, so nothing here allocates.
+    fn decide_flow_into(&mut self, fi: usize, out: &mut Vec<f64>) {
         let mut views = std::mem::take(&mut self.scratch.views);
         if S::SPANS {
             self.sink.span_enter(SpanName::RoundObserve);
         }
-        self.flow_views_into(fi, loads.unwrap_or(&self.loads), &mut views);
+        self.flow_views_into(fi, &mut views);
         if S::SPANS {
             self.sink.span_exit(SpanName::RoundObserve);
         }
@@ -1487,17 +1412,12 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         if self.now + 1e-12 < self.cfg.te_start {
             return;
         }
-        // Scratch mode recomputes one shared round snapshot (the old
-        // engine's cost); incremental mode observes the maintained
-        // cache directly — constant during the decision loop because
-        // every apply is deferred past it.
+        // Agents observe the maintained load vector directly — constant
+        // during the decision loop because every apply is deferred past
+        // it.
         if S::SPANS {
             self.sink.span_enter(SpanName::RoundSnapshot);
         }
-        let scratch_loads = match self.accounting {
-            LoadAccounting::Scratch => Some(self.arc_loads_scratch()),
-            LoadAccounting::Incremental => None,
-        };
         if S::ENABLED {
             self.sink.add(Counter::ControlRounds, 1);
             if immediate {
@@ -1505,7 +1425,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             }
             // Per-round arc-load summary over the loads the agents of
             // this round observe (pre-decision).
-            let ev = self.arc_loads_event(scratch_loads.as_deref().unwrap_or(&self.loads));
+            let ev = self.arc_loads_event();
             self.sink.emit(&ev);
         }
         if S::SPANS {
@@ -1549,7 +1469,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             } else {
                 0
             };
-            self.decide_flow_into(fi, scratch_loads.as_deref(), &mut shares);
+            self.decide_flow_into(fi, &mut shares);
             if S::ENABLED {
                 self.sink.add(Counter::AgentDecisions, 1);
                 self.sink.observe(
@@ -1619,44 +1539,54 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// Build the per-round arc-load summary (telemetry-enabled builds
     /// only): max/mean utilization over all arcs plus the count of arcs
     /// above the TE threshold.
-    fn arc_loads_event(&self, loads: &[f64]) -> TelemetryEvent {
+    fn arc_loads_event(&self) -> TelemetryEvent {
+        let u = self.utilization();
+        TelemetryEvent::ArcLoads {
+            t: self.now,
+            max_util: u.max,
+            mean_util: if u.arcs == 0 {
+                0.0
+            } else {
+                u.sum / u.arcs as f64
+            },
+            overloaded: u.overloaded,
+        }
+    }
+
+    /// Utilization of the maintained load vector over every arc with
+    /// positive capacity (shared by the round summary and the
+    /// observatory sampler).
+    fn utilization(&self) -> Utilization {
         let threshold = self.cfg.te.threshold;
-        let mut max_util = 0.0_f64;
-        let mut sum_util = 0.0_f64;
-        let mut overloaded = 0u32;
-        let mut n = 0u64;
+        let mut u = Utilization {
+            max: 0.0,
+            sum: 0.0,
+            arcs: 0,
+            overloaded: 0,
+        };
         for a in self.topo.arc_ids() {
             let c = self.topo.arc(a).capacity;
             if c <= 0.0 {
                 continue;
             }
-            let util = loads[a.idx()] / c;
-            max_util = max_util.max(util);
-            sum_util += util;
-            n += 1;
+            let util = self.loads[a.idx()] / c;
+            u.max = u.max.max(util);
+            u.sum += util;
+            u.arcs += 1;
             if util > threshold {
-                overloaded += 1;
+                u.overloaded += 1;
             }
         }
-        let mean_util = if n == 0 { 0.0 } else { sum_util / n as f64 };
-        TelemetryEvent::ArcLoads {
-            t: self.now,
-            max_util,
-            mean_util,
-            overloaded,
-        }
+        u
     }
 
     /// Whether an agent's decision can be skipped outright: nothing it
     /// observes has changed since its last decision and the policy is a
     /// pure function of the observation, so the skipped call would
-    /// return exactly the shares already installed. Only sound in
-    /// incremental mode, where load changes propagate to the per-flow
-    /// observation flags.
+    /// return exactly the shares already installed. Load changes reach
+    /// the per-flow observation flags through [`Simulation::flush_loads`].
     fn can_skip_decision(&self, fi: usize) -> bool {
-        self.policy_memoryless
-            && self.accounting == LoadAccounting::Incremental
-            && !self.flows[fi].obs_dirty
+        self.policy_memoryless && !self.flows[fi].obs_dirty
     }
 
     /// One phase-jittered agent's decision against fresh loads.
@@ -1677,19 +1607,7 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
             0
         };
         let mut shares = std::mem::take(&mut self.scratch.shares);
-        match self.accounting {
-            LoadAccounting::Scratch => {
-                if S::SPANS {
-                    self.sink.span_enter(SpanName::RoundSnapshot);
-                }
-                let loads = self.arc_loads_scratch();
-                if S::SPANS {
-                    self.sink.span_exit(SpanName::RoundSnapshot);
-                }
-                self.decide_flow_into(fi, Some(&loads), &mut shares);
-            }
-            LoadAccounting::Incremental => self.decide_flow_into(fi, None, &mut shares),
-        }
+        self.decide_flow_into(fi, &mut shares);
         if S::ENABLED {
             let dw = waterfill_iterations() - wf_before;
             self.sink.add(Counter::AgentDecisions, 1);
@@ -1742,32 +1660,48 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
         s
     }
 
+    /// One pass over every flow's paths against the maintained load
+    /// vector, handing each path's delivered rate to `each(flow, rate)`.
+    /// Both samplers read it, each in the addition order it has always
+    /// used: the recorder sums per-flow subtotals, the observatory keeps
+    /// a running total.
+    fn delivery(&self, mut each: impl FnMut(usize, f64)) -> Delivery {
+        let mut d = Delivery {
+            offered: 0.0,
+            by_flow: 0.0,
+            running: 0.0,
+        };
+        for (fi, fl) in self.flows.iter().enumerate() {
+            d.offered += fl.offered;
+            let mut subtotal = 0.0;
+            for pi in 0..fl.paths.len() {
+                let rate = self.path_delivery(fl, pi);
+                subtotal += rate;
+                d.running += rate;
+                each(fi, rate);
+            }
+            d.by_flow += subtotal;
+        }
+        d
+    }
+
     fn take_sample(&mut self) {
         if S::ENABLED {
             self.sink.add(Counter::Samples, 1);
         }
-        let (offered_total, delivered_total, per_flow) = {
-            let loads = self.loads_for_query();
-            let mut offered_total = 0.0;
-            let mut delivered_total = 0.0;
-            let mut per_flow: Vec<Vec<f64>> = Vec::with_capacity(self.flows.len());
-            for fl in &self.flows {
-                offered_total += fl.offered;
-                let rates: Vec<f64> = (0..fl.paths.len())
-                    .map(|pi| self.path_delivery(fl, pi, &loads))
-                    .collect();
-                delivered_total += rates.iter().sum::<f64>();
-                per_flow.push(rates);
-            }
-            (offered_total, delivered_total, per_flow)
-        };
+        let mut per_flow: Vec<Vec<f64>> = self
+            .flows
+            .iter()
+            .map(|fl| Vec::with_capacity(fl.paths.len()))
+            .collect();
+        let d = self.delivery(|fi, rate| per_flow[fi].push(rate));
         let power_w = self.power_w();
         self.recorder.push(Sample {
             t: self.now,
             power_w,
             power_frac: power_w / self.full_power_w,
-            offered_total,
-            delivered_total,
+            offered_total: d.offered,
+            delivered_total: d.by_flow,
             per_flow_path_rates: per_flow,
         });
     }
@@ -1776,44 +1710,19 @@ impl<'a, S: TelemetrySink> Simulation<'a, S> {
     /// [`Simulation::take_sample`] and [`Simulation::arc_loads_event`]
     /// without per-path vectors or telemetry events.
     fn take_timeseries_point(&mut self) {
-        let (delivered_fraction, max_util, overloaded) = {
-            let loads = self.loads_for_query();
-            let mut offered_total = 0.0;
-            let mut delivered_total = 0.0;
-            for fl in &self.flows {
-                offered_total += fl.offered;
-                for pi in 0..fl.paths.len() {
-                    delivered_total += self.path_delivery(fl, pi, &loads);
-                }
-            }
-            let delivered_fraction = if offered_total > 0.0 {
-                delivered_total / offered_total
-            } else {
-                1.0
-            };
-            let threshold = self.cfg.te.threshold;
-            let mut max_util = 0.0_f64;
-            let mut overloaded = 0u32;
-            for a in self.topo.arc_ids() {
-                let c = self.topo.arc(a).capacity;
-                if c <= 0.0 {
-                    continue;
-                }
-                let util = loads[a.idx()] / c;
-                max_util = max_util.max(util);
-                if util > threshold {
-                    overloaded += 1;
-                }
-            }
-            (delivered_fraction, max_util, overloaded)
-        };
+        let d = self.delivery(|_, _| {});
+        let u = self.utilization();
         let power_frac = self.power_w() / self.full_power_w;
         self.ts_points.push(TimeseriesPoint {
             t: self.now,
-            delivered_fraction,
+            delivered_fraction: if d.offered > 0.0 {
+                d.running / d.offered
+            } else {
+                1.0
+            },
             power_frac,
-            max_util,
-            overloaded_arcs: overloaded,
+            max_util: u.max,
+            overloaded_arcs: u.overloaded,
             reconfig_count: self.reconfig_count,
         });
     }
@@ -1860,6 +1769,30 @@ mod tests {
             sample_interval: 0.05,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn nan_time_does_not_reorder_finite_events() {
+        let mut q = BinaryHeap::new();
+        for (seq, t) in [3.0, 1.0, f64::NAN, 2.0, 0.5, 1.0, 0.25]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(QItem {
+                t,
+                seq: seq as u64,
+                ev: Event::Sample,
+            });
+        }
+        let popped: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|it| (it.t, it.seq))
+            .collect();
+        // The finite events pop in (t, seq) order; NaN sorts last.
+        assert_eq!(
+            popped[..6],
+            [(0.25, 6), (0.5, 4), (1.0, 1), (1.0, 5), (2.0, 3), (3.0, 0)]
+        );
+        assert!(popped[6].0.is_nan() && popped[6].1 == 2);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! from-scratch recomputation after *every* event; these proptests
 //! additionally drive randomized event scripts (demand changes,
 //! link/node fail + repair, share moves, wake-time and TE
-//! reconfiguration, phased agents) and assert that
+//! reconfiguration, phased agents) one event at a time and assert that
 //!
-//! * the final incremental state matches the oracle bit for bit, and
-//! * an identical simulation in `Scratch` mode (the pre-incremental
-//!   engine) records the exact same sample series — end-to-end
-//!   bit-parity, including the memoryless-policy decision skipping
-//!   which only engages in incremental mode.
+//! * the incremental state matches the oracle bit for bit after every
+//!   event, in release test builds too, and
+//! * skipping the decisions of observation-clean agents under a
+//!   memoryless policy records the exact same sample series as a run
+//!   that decides every agent every round.
 
-use ecp_control::ControlPolicy;
-use ecp_simnet::{LoadAccounting, SimConfig, SimEvent, Simulation};
+use ecp_control::{ControlPolicy, Observation};
+use ecp_simnet::{SimConfig, SimEvent, Simulation};
 use ecp_topo::gen::fig3_click;
 use ecp_topo::{ArcId, NodeId, Path};
 use proptest::prelude::*;
@@ -94,13 +94,43 @@ fn policy(which: usize) -> Box<dyn ControlPolicy> {
     }
 }
 
-/// Run the scripted simulation in one accounting mode; returns the
-/// recorded series plus the final per-path delivery of both flows.
+/// Delegates everything to the wrapped policy but declares itself
+/// stateful, so the simulator never skips a decision: the reference
+/// run for decision skipping.
+struct NeverSkip(Box<dyn ControlPolicy>);
+
+impl ControlPolicy for NeverSkip {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn phase(&self, agent: usize, interval: f64) -> f64 {
+        self.0.phase(agent, interval)
+    }
+
+    fn decide(&mut self, obs: &Observation<'_>) -> Vec<f64> {
+        self.0.decide(obs)
+    }
+
+    fn decide_into(&mut self, obs: &Observation<'_>, out: &mut Vec<f64>) {
+        self.0.decide_into(obs, out)
+    }
+
+    fn memoryless(&self) -> bool {
+        false
+    }
+}
+
+/// Run the scripted simulation event by event, asserting the
+/// incremental state against the from-scratch oracle after each one;
+/// returns the recorded series plus the final per-path delivery of
+/// both flows. `skip` keeps the policy's own `memoryless` answer;
+/// otherwise it is wrapped in [`NeverSkip`].
 fn run_script(
     events: &[RawEvent],
     which_policy: usize,
     spread: bool,
-    mode: LoadAccounting,
+    skip: bool,
 ) -> (Vec<ecp_simnet::Sample>, Vec<Vec<f64>>) {
     let (t, n, pt) = click_tables();
     let cfg = SimConfig {
@@ -112,8 +142,12 @@ fn run_script(
         ..Default::default()
     };
     let pm = ecp_power::PowerModel::cisco12000();
-    let mut sim = Simulation::with_policy(&t, &pm, &pt, cfg, policy(which_policy));
-    sim.set_load_accounting(mode);
+    let policy = if skip {
+        policy(which_policy)
+    } else {
+        Box::new(NeverSkip(policy(which_policy)))
+    };
+    let mut sim = Simulation::with_policy(&t, &pm, &pt, cfg, policy);
     let fa = sim.add_flow(&pt, n.a, n.k, 2.5e6);
     let fc = sim.add_flow(&pt, n.c, n.k, 2.5e6);
     if spread {
@@ -124,36 +158,50 @@ fn run_script(
         let (at, ev) = decode_event(&t, raw);
         sim.schedule(at, ev);
     }
-    sim.run_until(9.0);
-    if mode == LoadAccounting::Incremental {
+    assert!(
+        sim.incremental_state_matches_scratch(),
+        "incremental state diverged from the from-scratch oracle during setup"
+    );
+    while sim.next_event_time().is_some_and(|at| at <= 9.0) {
+        let at = sim.step().expect("a pending event");
         assert!(
             sim.incremental_state_matches_scratch(),
-            "incremental state diverged from the from-scratch oracle"
+            "incremental state diverged from the from-scratch oracle at t = {at}"
         );
     }
     let deliveries = vec![sim.per_path_delivered(fa), sim.per_path_delivered(fc)];
     (sim.recorder().samples().to_vec(), deliveries)
 }
 
+fn script_strategy() -> impl Strategy<Value = Vec<RawEvent>> {
+    proptest::collection::vec((0.0f64..8.0, 0usize..7, 0usize..16, 0.0f64..9e6), 0..20)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Incremental and scratch accounting record bit-identical series
-    /// under arbitrary event scripts and every control policy.
+    /// The incremental state equals the from-scratch oracle after every
+    /// event of arbitrary event scripts under every control policy.
     #[test]
     fn incremental_is_bit_identical_to_scratch(
-        events in proptest::collection::vec(
-            (0.0f64..8.0, 0usize..7, 0usize..16, 0.0f64..9e6),
-            0..20,
-        ),
+        events in script_strategy(),
         which_policy in 0usize..6,
         spread in proptest::bool::ANY,
     ) {
-        let (inc_samples, inc_delivery) =
-            run_script(&events, which_policy, spread, LoadAccounting::Incremental);
-        let (scr_samples, scr_delivery) =
-            run_script(&events, which_policy, spread, LoadAccounting::Scratch);
-        prop_assert_eq!(inc_samples, scr_samples);
-        prop_assert_eq!(inc_delivery, scr_delivery);
+        run_script(&events, which_policy, spread, true);
+    }
+
+    /// Skipping observation-clean agents records bit-identical series
+    /// to deciding every agent every round.
+    #[test]
+    fn decision_skipping_is_bit_identical_to_never_skipping(
+        events in script_strategy(),
+        which_policy in 0usize..6,
+        spread in proptest::bool::ANY,
+    ) {
+        let (skip_samples, skip_delivery) = run_script(&events, which_policy, spread, true);
+        let (ref_samples, ref_delivery) = run_script(&events, which_policy, spread, false);
+        prop_assert_eq!(skip_samples, ref_samples);
+        prop_assert_eq!(skip_delivery, ref_delivery);
     }
 }
