@@ -2,9 +2,12 @@
 //!
 //! * **Always-on** (§4.1): a *minimal power tree* — with ε demands the
 //!   capacity constraints are non-binding and the min-power connectivity
-//!   problem reduces to a minimum-power spanning structure. We build a
-//!   Kruskal MST on link power and prune non-required leaf subtrees
-//!   (Steiner refinement). With a traffic estimate
+//!   problem reduces to a minimum-power spanning structure. We solve it
+//!   with the `ecp-routing` [`optimal_subset`] ensemble on the ε matrix
+//!   (its greedy prune decides each candidate by connectivity alone
+//!   when capacity cannot bind); a Kruskal MST on link power with
+//!   non-required leaf subtrees pruned (Steiner refinement) is the
+//!   fallback if the ensemble fails. With a traffic estimate
 //!   ([`PlannerConfig::offpeak`]) the planner instead solves the §2.2
 //!   optimization on `d_low` via the `ecp-routing` ensemble.
 //!   REsPoNse-lat ([`PlannerConfig::beta`]) enforces
@@ -27,6 +30,7 @@ use ecp_routing::subset::{greente_like, optimal_subset};
 use ecp_topo::algo::{link_disjoint_path, shortest_path, shortest_path_bounded};
 use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::TrafficMatrix;
+use std::collections::HashMap;
 
 /// How on-demand tables are computed (§4.2).
 #[derive(Debug, Clone)]
@@ -202,12 +206,22 @@ impl<'a> Planner<'a> {
             }
         }
 
+        // Each OD pair's first always-on entry; the per-pair slots below
+        // are indexed by it.
+        let mut pair_index: HashMap<(NodeId, NodeId), usize> =
+            HashMap::with_capacity(always_on.len());
+        for (i, &(o, d, _)) in always_on.iter().enumerate() {
+            pair_index.entry((o, d)).or_insert(i);
+        }
+
         // ---- 2. on-demand --------------------------------------------
         // Elements already on are carried forward between rounds
         // (X_i = Y = 1 fixed, §4.2).
         let mut on = elements_of(topo, always_on.iter().map(|(_, _, p)| p));
         let rounds = cfg.num_paths - 2;
-        let mut on_demand: Vec<Vec<(NodeId, NodeId, Path)>> = Vec::new();
+        // One slot per always-on entry and round: the round's first path
+        // for that pair, if it routed one.
+        let mut on_demand: Vec<Vec<Option<Path>>> = Vec::new();
         // Path sets accumulated so far (per pair), used for stress.
         let mut assigned: Vec<(NodeId, NodeId, Vec<Path>)> = always_on
             .iter()
@@ -221,7 +235,11 @@ impl<'a> Planner<'a> {
                         assigned.iter().flat_map(|(_, _, ps)| ps.iter()),
                         *exclude_fraction,
                     );
-                    let w = self.new_power_weight(&on, Some(&excluded));
+                    let mut excluded_mask = vec![false; topo.arc_count()];
+                    for l in excluded {
+                        excluded_mask[l.idx()] = true;
+                    }
+                    let w = self.new_power_weight(&on, Some(&excluded_mask));
                     let w_free = self.new_power_weight(&on, None);
                     always_on
                         .iter()
@@ -265,25 +283,24 @@ impl<'a> Planner<'a> {
                     }
                 }
             };
-            for (o, d, p) in &table {
-                add_elements(topo, &mut on, p);
-                if let Some(slot) = assigned.iter_mut().find(|(ao, ad, _)| ao == o && ad == d) {
-                    slot.2.push(p.clone());
+            let mut slots: Vec<Option<Path>> = vec![None; always_on.len()];
+            for (o, d, p) in table {
+                add_elements(topo, &mut on, &p);
+                if let Some(&k) = pair_index.get(&(o, d)) {
+                    assigned[k].2.push(p.clone());
+                    slots[k].get_or_insert(p);
                 }
             }
-            on_demand.push(table);
+            on_demand.push(slots);
             let _ = round;
         }
 
         // ---- 3. failover ----------------------------------------------
         let mut tables = PathTables::new();
         for (o, d, aon) in &always_on {
+            let k = pair_index[&(*o, *d)];
             let mut avoid: Vec<&Path> = vec![aon];
-            for t in &on_demand {
-                if let Some((_, _, p)) = t.iter().find(|(to, td, _)| to == o && td == d) {
-                    avoid.push(p);
-                }
-            }
+            avoid.extend(on_demand.iter().filter_map(|t| t[k].as_ref()));
             // Prefer full disjointness from every installed path; when the
             // topology cannot offer that, fall back to disjointness from
             // the always-on path alone — the paper's Fig. 3 case, where
@@ -299,14 +316,7 @@ impl<'a> Planner<'a> {
                 }
                 None => aon.clone(),
             };
-            let od: Vec<Path> = on_demand
-                .iter()
-                .filter_map(|t| {
-                    t.iter()
-                        .find(|(to, td, _)| to == o && td == d)
-                        .map(|(_, _, p)| p.clone())
-                })
-                .collect();
+            let od: Vec<Path> = on_demand.iter().filter_map(|t| t[k].clone()).collect();
             tables.insert(
                 *o,
                 *d,
@@ -373,8 +383,7 @@ impl<'a> Planner<'a> {
         links.sort_by(|&a, &b| {
             self.power
                 .link_full(topo, a)
-                .partial_cmp(&self.power.link_full(topo, b))
-                .unwrap()
+                .total_cmp(&self.power.link_full(topo, b))
                 .then(a.cmp(&b))
         });
         let mut dsu: Vec<usize> = (0..topo.node_count()).collect();
@@ -425,11 +434,12 @@ impl<'a> Planner<'a> {
 
     /// Weight preferring already-on elements: 1 per hop plus a scaled
     /// power term for elements that would have to be woken, plus
-    /// `INFINITY` for excluded links.
+    /// `INFINITY` for excluded links (`excluded[l]` set for canonical link
+    /// id `l`).
     fn new_power_weight<'w>(
         &'w self,
         on: &'w ActiveSet,
-        excluded: Option<&'w [ArcId]>,
+        excluded: Option<&'w [bool]>,
     ) -> impl Fn(ArcId) -> f64 + 'w {
         let topo = self.topo;
         let pmax = topo
@@ -441,10 +451,8 @@ impl<'a> Planner<'a> {
             })
             .fold(1.0, f64::max);
         move |a: ArcId| {
-            if let Some(ex) = excluded {
-                if ex.contains(&topo.link_of(a)) {
-                    return f64::INFINITY;
-                }
+            if excluded.is_some_and(|ex| ex[topo.link_of(a).idx()]) {
+                return f64::INFINITY;
             }
             let mut new_power = 0.0;
             if !on.link_bit(topo, a) {
@@ -485,7 +493,7 @@ impl<'a> Planner<'a> {
             .map(|l| (l, count[l.idx()] as f64 / topo.arc(l).capacity))
             .filter(|&(_, s)| s > 0.0)
             .collect();
-        stressed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        stressed.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let take = ((topo.link_count() as f64) * fraction).floor() as usize;
         stressed.into_iter().take(take).map(|(l, _)| l).collect()
     }
@@ -501,7 +509,7 @@ impl<'a> Planner<'a> {
     ) -> Vec<(NodeId, NodeId, Path)> {
         let topo = self.topo;
         let mut demands = peak.demands().to_vec();
-        demands.sort_by(|a, b| b.rate.partial_cmp(&a.rate).unwrap());
+        demands.sort_by(|a, b| b.rate.total_cmp(&a.rate));
         let cap: Vec<f64> = topo
             .arc_ids()
             .map(|a| topo.arc(a).capacity * oracle.margin)

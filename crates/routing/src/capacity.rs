@@ -1,6 +1,6 @@
 //! Network capacity probing: the paper's max-load scaling procedure.
 
-use crate::oracle::{place_flows, OracleConfig};
+use crate::oracle::{place_flows_with, OracleConfig, StaticPaths};
 use ecp_topo::{NodeId, Topology};
 use ecp_traffic::{gravity_matrix, TrafficMatrix};
 
@@ -10,6 +10,10 @@ use ecp_traffic::{gravity_matrix, TrafficMatrix};
 /// this by incrementally increasing the traffic demand by 10% up to a
 /// point where CPLEX cannot find a routing" — our oracle plays CPLEX's
 /// role. Returns the total volume marking 100% load.
+///
+/// Every probe routes the same OD pairs over the full topology, so the
+/// oracle's load-independent first-choice paths are computed once and
+/// shared by all probes.
 pub fn max_feasible_volume(
     topo: &Topology,
     od_pairs: &[(NodeId, NodeId)],
@@ -17,10 +21,11 @@ pub fn max_feasible_volume(
 ) -> f64 {
     let start = topo.total_capacity() * 0.01;
     let base = gravity_matrix(topo, od_pairs, start);
+    let statics = StaticPaths::new(topo, None, &base);
     // Find an infeasible upper bound by +10% steps.
     let feasible = |v: f64| -> bool {
         let tm = base.scaled(v / start);
-        place_flows(topo, None, &tm, oracle).is_some()
+        place_flows_with(topo, None, &tm, oracle, &statics).is_some()
     };
     let mut volume = start;
     if !feasible(volume) {

@@ -19,8 +19,8 @@
 //! capacity: `C ← sm · C`.
 
 use crate::routeset::RouteSet;
-use ecp_topo::algo::shortest_path;
-use ecp_topo::{ActiveSet, ArcId, NodeId, Topology};
+use ecp_topo::algo::{shortest_path, shortest_paths_from};
+use ecp_topo::{ActiveSet, ArcId, NodeId, Path, Topology};
 use ecp_traffic::{Demand, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -54,6 +54,10 @@ impl Default for OracleConfig {
 
 /// Attempt to route all demands of `tm` over the active subset within the
 /// margin. Returns the routing on success.
+///
+/// Each demand's first choice, the inverse-capacity shortest path over
+/// `active`, does not depend on load. It is computed once per call, one
+/// search tree per origin, and shared by every restart and rip-up pass.
 pub fn place_flows(
     topo: &Topology,
     active: Option<&ActiveSet>,
@@ -63,52 +67,77 @@ pub fn place_flows(
     if tm.is_empty() {
         return Some(RouteSet::new());
     }
-    let mut order: Vec<Demand> = tm.demands().to_vec();
+    let statics = StaticPaths::new(topo, active, tm);
+    place_flows_with(topo, active, tm, cfg, &statics)
+}
+
+/// [`place_flows`] with the first-choice paths already computed; they
+/// must have been built for the same `active` set and cover every OD
+/// pair of `tm`.
+pub(crate) fn place_flows_with(
+    topo: &Topology,
+    active: Option<&ActiveSet>,
+    tm: &TrafficMatrix,
+    cfg: &OracleConfig,
+    statics: &StaticPaths,
+) -> Option<RouteSet> {
+    if tm.is_empty() {
+        return Some(RouteSet::new());
+    }
+    let demands = tm.demands();
     // Deterministic primary order: descending rate, then OD for ties.
-    order.sort_by(|a, b| {
+    let mut order: Vec<usize> = (0..demands.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&demands[a], &demands[b]);
         b.rate
-            .partial_cmp(&a.rate)
-            .unwrap()
+            .total_cmp(&a.rate)
             .then_with(|| (a.origin, a.dst).cmp(&(b.origin, b.dst)))
     });
+    let cap: Vec<f64> = topo
+        .arc_ids()
+        .map(|a| topo.arc(a).capacity * cfg.margin)
+        .collect();
 
-    if let Some(rs) = try_place(topo, active, &order, cfg) {
+    if let Some(rs) = try_place(topo, active, demands, &order, &cap, statics, cfg) {
         return Some(rs);
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.restarts {
         order.shuffle(&mut rng);
-        if let Some(rs) = try_place(topo, active, &order, cfg) {
+        if let Some(rs) = try_place(topo, active, demands, &order, &cap, statics, cfg) {
             return Some(rs);
         }
     }
     None
 }
 
+/// One placement attempt of `demands` (sorted by OD pair) in the given
+/// `order` of indices, within the usable capacities `cap`.
 fn try_place(
     topo: &Topology,
     active: Option<&ActiveSet>,
-    order: &[Demand],
+    demands: &[Demand],
+    order: &[usize],
+    cap: &[f64],
+    statics: &StaticPaths,
     cfg: &OracleConfig,
 ) -> Option<RouteSet> {
-    let cap: Vec<f64> = topo
-        .arc_ids()
-        .map(|a| topo.arc(a).capacity * cfg.margin)
-        .collect();
     let mut load = vec![0.0; topo.arc_count()];
+    let mut hot = vec![false; topo.arc_count()];
     let mut rs = RouteSet::new();
-    let mut pending: Vec<Demand> = order.to_vec();
+    let mut pending: Vec<usize> = order.to_vec();
     let mut passes = 0;
 
     while !pending.is_empty() {
-        let mut failed: Vec<Demand> = Vec::new();
-        for d in pending.drain(..) {
-            match route_one(topo, active, &cap, &load, &d) {
+        let mut failed: Vec<usize> = Vec::new();
+        for i in pending.drain(..) {
+            let d = &demands[i];
+            match route_one(topo, active, cap, &load, d, statics) {
                 Some(p) => {
                     apply(topo, &mut load, &p, d.rate, 1.0);
                     rs.insert(p);
                 }
-                None => failed.push(d),
+                None => failed.push(i),
             }
         }
         if failed.is_empty() {
@@ -120,24 +149,23 @@ fn try_place(
         }
         // Rip-up: remove the largest flows sharing arcs near saturation,
         // requeue them after the failed demands.
-        let hot: Vec<ArcId> = topo
-            .arc_ids()
-            .filter(|&a| load[a.idx()] > 0.7 * cap[a.idx()])
-            .collect();
-        let mut ripped: Vec<Demand> = Vec::new();
+        for (h, (&l, &c)) in hot.iter_mut().zip(load.iter().zip(cap)) {
+            *h = l > 0.7 * c;
+        }
+        let mut ripped: Vec<usize> = Vec::new();
         let keys: Vec<(NodeId, NodeId)> = rs.iter().map(|(k, _)| *k).collect();
         for (o, dd) in keys {
-            let p = rs.get(o, dd).unwrap().clone();
-            let crosses_hot = p
-                .arcs(topo)
-                .map(|arcs| arcs.iter().any(|a| hot.contains(a)))
+            let crosses_hot = rs
+                .get(o, dd)
+                .and_then(|p| p.arcs(topo))
+                .map(|arcs| arcs.iter().any(|a| hot[a.idx()]))
                 .unwrap_or(false);
             if crosses_hot {
-                // Recover the rate from the original order list.
-                if let Some(d0) = order.iter().find(|d| d.origin == o && d.dst == dd) {
-                    apply(topo, &mut load, &p, d0.rate, -1.0);
-                    rs.remove(o, dd);
-                    ripped.push(*d0);
+                // Recover the rate from the demand list.
+                if let Ok(i) = demands.binary_search_by_key(&(o, dd), |d| (d.origin, d.dst)) {
+                    let p = rs.remove(o, dd).expect("key taken from the route set");
+                    apply(topo, &mut load, &p, demands[i].rate, -1.0);
+                    ripped.push(i);
                 }
             }
             if ripped.len() >= 8 {
@@ -153,7 +181,7 @@ fn try_place(
     Some(rs)
 }
 
-fn apply(topo: &Topology, load: &mut [f64], p: &ecp_topo::Path, rate: f64, sign: f64) {
+fn apply(topo: &Topology, load: &mut [f64], p: &Path, rate: f64, sign: f64) {
     if let Some(arcs) = p.arcs(topo) {
         for a in arcs {
             load[a.idx()] += sign * rate;
@@ -165,33 +193,26 @@ fn apply(topo: &Topology, load: &mut [f64], p: &ecp_topo::Path, rate: f64, sign:
 ///
 /// Two-stage for *path stability*: first try the load-independent
 /// inverse-capacity shortest path (what a solver re-run on similar
-/// demands would keep choosing); only when that path cannot absorb the
-/// demand switch to congestion-aware weights (`1 + load/capacity`) over
-/// arcs with enough residual. Stability matters beyond aesthetics — the
-/// energy-critical-path analysis (Fig. 2b) counts recurring paths, and
-/// gratuitous churn would be an artifact of the oracle, not the network.
+/// demands would keep choosing), looked up in `statics`; only when that
+/// path cannot absorb the demand switch to congestion-aware weights
+/// (`1 + load/capacity`) over arcs with enough residual. Stability
+/// matters beyond aesthetics — the energy-critical-path analysis
+/// (Fig. 2b) counts recurring paths, and gratuitous churn would be an
+/// artifact of the oracle, not the network.
 fn route_one(
     topo: &Topology,
     active: Option<&ActiveSet>,
     cap: &[f64],
     load: &[f64],
     d: &Demand,
-) -> Option<ecp_topo::Path> {
-    let cmax = topo
-        .arc_ids()
-        .map(|a| topo.arc(a).capacity)
-        .fold(0.0, f64::max);
-    let static_w = |a: ArcId| cmax / topo.arc(a).capacity;
-    if let Some(p) = shortest_path(topo, d.origin, d.dst, &static_w, active) {
-        let fits = p
-            .arcs(topo)
-            .map(|arcs| {
-                arcs.iter()
-                    .all(|&a| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6)
-            })
-            .unwrap_or(false);
-        if fits {
-            return Some(p);
+    statics: &StaticPaths,
+) -> Option<Path> {
+    if let Some((p, arcs)) = statics.get(d.origin, d.dst) {
+        if arcs
+            .iter()
+            .all(|&a| load[a.idx()] + d.rate <= cap[a.idx()] + 1e-6)
+        {
+            return Some(p.clone());
         }
     }
     let w = |a: ArcId| {
@@ -205,11 +226,61 @@ fn route_one(
     shortest_path(topo, d.origin, d.dst, &w, active)
 }
 
+/// The load-independent first choice of every OD pair of a matrix: the
+/// inverse-capacity (`cmax / capacity`) shortest path over one active
+/// set, with its arcs. `None` marks a pair with no such path (or one
+/// whose hops do not resolve to arcs); either way the pair goes straight
+/// to the congestion-aware search.
+pub(crate) struct StaticPaths {
+    /// OD pairs, sorted; `paths[i]` belongs to `keys[i]`.
+    keys: Vec<(NodeId, NodeId)>,
+    paths: Vec<Option<(Path, Vec<ArcId>)>>,
+}
+
+impl StaticPaths {
+    /// First choices for the demands of `tm` over `active`, one search
+    /// tree per origin.
+    pub(crate) fn new(topo: &Topology, active: Option<&ActiveSet>, tm: &TrafficMatrix) -> Self {
+        let cmax = topo
+            .arc_ids()
+            .map(|a| topo.arc(a).capacity)
+            .fold(0.0, f64::max);
+        let static_w = |a: ArcId| cmax / topo.arc(a).capacity;
+        // A matrix keeps its demands sorted by OD pair, so `keys` is
+        // sorted and same-origin pairs are adjacent.
+        let keys: Vec<(NodeId, NodeId)> = tm.demands().iter().map(|d| (d.origin, d.dst)).collect();
+        let mut paths = Vec::with_capacity(keys.len());
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let dsts: Vec<NodeId> = group.iter().map(|&(_, d)| d).collect();
+            let found = shortest_paths_from(topo, group[0].0, &dsts, &static_w, active);
+            paths.extend(found.into_iter().map(|p| with_arcs(topo, p)));
+        }
+        StaticPaths { keys, paths }
+    }
+
+    /// The first choice of an OD pair. Panics if the pair is not in the
+    /// table: every caller builds the table from a matrix that covers
+    /// the demands it places.
+    fn get(&self, o: NodeId, d: NodeId) -> &Option<(Path, Vec<ArcId>)> {
+        let i = self
+            .keys
+            .binary_search(&(o, d))
+            .expect("static path table covers every demand");
+        &self.paths[i]
+    }
+}
+
+fn with_arcs(topo: &Topology, p: Option<Path>) -> Option<(Path, Vec<ArcId>)> {
+    let p = p?;
+    let arcs = p.arcs(topo)?;
+    Some((p, arcs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecp_topo::gen::{fat_tree, line, FatTreeConfig};
-    use ecp_topo::{NodeId, Path, TopologyBuilder, MBPS, MS};
+    use ecp_topo::{NodeId, TopologyBuilder, MBPS, MS};
 
     fn tm(pairs: &[(u32, u32, f64)]) -> TrafficMatrix {
         TrafficMatrix::new(

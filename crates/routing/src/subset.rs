@@ -65,9 +65,48 @@ fn required_nodes(tm: &TrafficMatrix) -> Vec<NodeId> {
     v
 }
 
+/// Whether the whole matrix fits on the thinnest arc with room to spare
+/// for rounding, so that no placement on any subset can run out of
+/// capacity: every rate is a non-negative number, every usable capacity
+/// (`capacity × margin`) is positive, and the total, inflated by a
+/// summation-error bound, is at most the smallest one. A NaN rate or a
+/// non-positive (or NaN) capacity makes this false.
+fn capacity_slack(topo: &Topology, tm: &TrafficMatrix, oracle: &OracleConfig) -> bool {
+    let demands = tm.demands();
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must also fail
+    if demands.iter().any(|d| !(d.rate >= 0.0)) {
+        return false;
+    }
+    let mut min_cap = f64::INFINITY;
+    for a in topo.arc_ids() {
+        let c = topo.arc(a).capacity * oracle.margin;
+        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must also fail
+        if !(c > 0.0) {
+            return false;
+        }
+        min_cap = min_cap.min(c);
+    }
+    // An arc's load is a floating-point sum of a subset of the rates; by
+    // rounding alone it can exceed the computed total by under n·ε
+    // relative, so twice that bound is a safe margin.
+    let total: f64 = demands.iter().map(|d| d.rate).sum();
+    total * (1.0 + 2.0 * demands.len() as f64 * f64::EPSILON) <= min_cap
+}
+
 /// Greedy power-down: start from the full network and switch off
 /// routers, then links, most-power-hungry first, keeping every tentative
 /// configuration multi-commodity feasible.
+///
+/// Slack precondition: when the whole matrix fits on the thinnest arc
+/// (the §4.1 ε demands do), every static path of the oracle fits, so
+/// `place_flows` succeeds exactly on the candidates that pass the
+/// connectivity check. Those candidates are then accepted without a
+/// placement, and the routing is placed only where it is read: for
+/// `LoadAsc`, once after the router pass (its link order reads those
+/// loads), and once on the final subset before isolated routers are
+/// pruned. `place_flows` is deterministic, so that equals the last
+/// accepted placement. Without slack every candidate is placed as
+/// before.
 pub fn greedy_prune(
     topo: &Topology,
     power: &PowerModel,
@@ -76,8 +115,28 @@ pub fn greedy_prune(
     order: PruneOrder,
 ) -> Option<SubsetResult> {
     let mut active = ActiveSet::all_on(topo);
-    let mut routes = place_flows(topo, Some(&active), tm, oracle)?;
+    // `None` means stale: re-place on `active` before reading.
+    let mut routes = Some(place_flows(topo, Some(&active), tm, oracle)?);
     let required = required_nodes(tm);
+    let slack = capacity_slack(topo, tm, oracle);
+    let place = |active: &ActiveSet| {
+        place_flows(topo, Some(active), tm, oracle)
+            .expect("with capacity slack a connected subset always places")
+    };
+    // Accept `tentative` into `active` if it keeps the demands routable.
+    let try_accept =
+        |tentative: ActiveSet, active: &mut ActiveSet, routes: &mut Option<RouteSet>| {
+            if !is_connected(topo, &required, Some(&tentative)) {
+                return;
+            }
+            if slack {
+                *active = tentative;
+                *routes = None;
+            } else if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
+                *active = tentative;
+                *routes = Some(rs);
+            }
+        };
 
     // ---- Router pass -------------------------------------------------
     let mut node_candidates: Vec<NodeId> =
@@ -91,18 +150,13 @@ pub fn greedy_prune(
                 .sum::<f64>()
     };
     match order {
-        PruneOrder::PowerDesc => node_candidates.sort_by(|&a, &b| {
-            node_power(b)
-                .partial_cmp(&node_power(a))
-                .unwrap()
-                .then(a.cmp(&b))
-        }),
+        PruneOrder::PowerDesc => node_candidates
+            .sort_by(|&a, &b| node_power(b).total_cmp(&node_power(a)).then(a.cmp(&b))),
         PruneOrder::LoadAsc => {
-            let loads = routes.link_loads(topo, tm);
+            let loads = routes.as_ref().expect("placed").link_loads(topo, tm);
             let thru =
                 |n: NodeId| -> f64 { topo.out_arcs(n).iter().map(|&a| loads[a.idx()]).sum() };
-            node_candidates
-                .sort_by(|&a, &b| thru(a).partial_cmp(&thru(b)).unwrap().then(a.cmp(&b)));
+            node_candidates.sort_by(|&a, &b| thru(a).total_cmp(&thru(b)).then(a.cmp(&b)));
         }
         PruneOrder::Random(seed) => {
             node_candidates.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -111,13 +165,7 @@ pub fn greedy_prune(
     for n in node_candidates {
         let mut tentative = active.clone();
         tentative.set_node(n, false);
-        if !is_connected(topo, &required, Some(&tentative)) {
-            continue;
-        }
-        if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
-            active = tentative;
-            routes = rs;
-        }
+        try_accept(tentative, &mut active, &mut routes);
     }
 
     // ---- Link pass ----------------------------------------------------
@@ -129,17 +177,18 @@ pub fn greedy_prune(
         PruneOrder::PowerDesc => link_candidates.sort_by(|&a, &b| {
             power
                 .link_full(topo, b)
-                .partial_cmp(&power.link_full(topo, a))
-                .unwrap()
+                .total_cmp(&power.link_full(topo, a))
                 .then(a.cmp(&b))
         }),
         PruneOrder::LoadAsc => {
-            let loads = routes.link_loads(topo, tm);
+            let loads = routes
+                .get_or_insert_with(|| place(&active))
+                .link_loads(topo, tm);
             let l2 = |l: ArcId| -> f64 {
                 let r = topo.reverse(l);
                 loads[l.idx()] + r.map(|r| loads[r.idx()]).unwrap_or(0.0)
             };
-            link_candidates.sort_by(|&a, &b| l2(a).partial_cmp(&l2(b)).unwrap().then(a.cmp(&b)));
+            link_candidates.sort_by(|&a, &b| l2(a).total_cmp(&l2(b)).then(a.cmp(&b)));
         }
         PruneOrder::Random(seed) => {
             link_candidates.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x9E37_79B9));
@@ -148,15 +197,10 @@ pub fn greedy_prune(
     for l in link_candidates {
         let mut tentative = active.clone();
         tentative.set_link(topo, l, false);
-        if !is_connected(topo, &required, Some(&tentative)) {
-            continue;
-        }
-        if let Some(rs) = place_flows(topo, Some(&tentative), tm, oracle) {
-            active = tentative;
-            routes = rs;
-        }
+        try_accept(tentative, &mut active, &mut routes);
     }
 
+    let routes = routes.unwrap_or_else(|| place(&active));
     active.prune_isolated_nodes(topo);
     let power_w = power.network_power(topo, &active);
     Some(SubsetResult {
@@ -181,7 +225,7 @@ pub fn greente_like(
     let w = crate::ospf::invcap_weight(topo);
 
     let mut demands = tm.demands().to_vec();
-    demands.sort_by(|a, b| b.rate.partial_cmp(&a.rate).unwrap());
+    demands.sort_by(|a, b| b.rate.total_cmp(&a.rate));
 
     let cap: Vec<f64> = topo
         .arc_ids()

@@ -34,13 +34,19 @@ pub fn reachable_from(topo: &Topology, src: NodeId, active: Option<&ActiveSet>) 
 }
 
 /// Whether every node in `required` can reach every other node in
-/// `required` over active arcs. With paired symmetric arcs this is
-/// equivalent to mutual reachability from any single required node, but
-/// we verify from each required node to stay correct for asymmetric
-/// topologies.
+/// `required` over active arcs.
+///
+/// When every arc has a reverse ([`Topology::all_arcs_paired`]), the two
+/// arcs of a link share one power state, so reachability is symmetric
+/// and a single search from `required[0]` decides. Otherwise each
+/// required node is searched from, which stays correct for one-way arcs.
 pub fn is_connected(topo: &Topology, required: &[NodeId], active: Option<&ActiveSet>) -> bool {
     if required.len() <= 1 {
         return true;
+    }
+    if topo.all_arcs_paired() {
+        let seen = reachable_from(topo, required[0], active);
+        return required.iter().all(|&q| seen[q.idx()]);
     }
     for &r in required {
         let seen = reachable_from(topo, r, active);

@@ -52,6 +52,20 @@ pub fn shortest_path_tree(
     weight: &ArcWeight,
     active: Option<&ActiveSet>,
 ) -> (Vec<f64>, Vec<Option<ArcId>>) {
+    search(topo, src, None, weight, active)
+}
+
+/// Dijkstra from `src`, stopping once `stop_at` (if given) is settled.
+/// With non-negative weights a settled node's distance and parent never
+/// change again, and every node on its parent chain was settled before
+/// it, so the path to `stop_at` is the one the full tree holds.
+fn search(
+    topo: &Topology,
+    src: NodeId,
+    stop_at: Option<NodeId>,
+    weight: &ArcWeight,
+    active: Option<&ActiveSet>,
+) -> (Vec<f64>, Vec<Option<ArcId>>) {
     let n = topo.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut parent: Vec<Option<ArcId>> = vec![None; n];
@@ -66,6 +80,9 @@ pub fn shortest_path_tree(
     while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
         if d > dist[u.idx()] {
             continue; // stale entry
+        }
+        if Some(u) == stop_at {
+            break;
         }
         for &a in topo.out_arcs(u) {
             if !arc_usable(topo, active, a) {
@@ -117,9 +134,41 @@ pub fn shortest_path(
     if src == dst {
         return Some(Path::trivial(src));
     }
+    let (dist, parent) = search(topo, src, Some(dst), weight, active);
+    path_in_tree(topo, &dist, &parent, src, dst)
+}
+
+/// Shortest paths from `src` to each node of `dsts`, read off one search
+/// tree: element `i` equals `shortest_path(topo, src, dsts[i], weight,
+/// active)`, because that call builds the same full tree from `src`.
+pub fn shortest_paths_from(
+    topo: &Topology,
+    src: NodeId,
+    dsts: &[NodeId],
+    weight: &ArcWeight,
+    active: Option<&ActiveSet>,
+) -> Vec<Option<Path>> {
     let (dist, parent) = shortest_path_tree(topo, src, weight, active);
+    dsts.iter()
+        .map(|&dst| {
+            if src == dst {
+                Some(Path::trivial(src))
+            } else {
+                path_in_tree(topo, &dist, &parent, src, dst)
+            }
+        })
+        .collect()
+}
+
+fn path_in_tree(
+    topo: &Topology,
+    dist: &[f64],
+    parent: &[Option<ArcId>],
+    src: NodeId,
+    dst: NodeId,
+) -> Option<Path> {
     if dist[dst.idx()].is_finite() {
-        extract_path(topo, &parent, src, dst)
+        extract_path(topo, parent, src, dst)
     } else {
         None
     }

@@ -116,7 +116,7 @@ pub struct Arc {
 ///
 /// Build one with [`TopologyBuilder`] (usually via a generator in
 /// [`crate::gen`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     nodes: Vec<Node>,
@@ -128,6 +128,58 @@ pub struct Topology {
     /// `reverse[a]` is the arc in the opposite direction of `a` (same
     /// physical link), if the link is bidirectional.
     reverse: Vec<Option<ArcId>>,
+    /// Whether every arc has a reverse; derived from `reverse`, so it is
+    /// not serialized.
+    all_arcs_paired: bool,
+}
+
+/// The serialized form of a [`Topology`]: every field but the derived
+/// `all_arcs_paired` flag, which [`From`] recomputes.
+#[derive(Serialize, Deserialize)]
+struct TopologyParts {
+    name: String,
+    nodes: Vec<Node>,
+    arcs: Vec<Arc>,
+    out: Vec<Vec<ArcId>>,
+    inc: Vec<Vec<ArcId>>,
+    reverse: Vec<Option<ArcId>>,
+}
+
+impl Serialize for Topology {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        // Topologies are serialized only for export, never on a hot path,
+        // so going through an owned copy is fine.
+        let t = self.clone();
+        TopologyParts {
+            name: t.name,
+            nodes: t.nodes,
+            arcs: t.arcs,
+            out: t.out,
+            inc: t.inc,
+            reverse: t.reverse,
+        }
+        .serialize(s)
+    }
+}
+
+impl<'de> Deserialize<'de> for Topology {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        TopologyParts::deserialize(d).map(Topology::from)
+    }
+}
+
+impl From<TopologyParts> for Topology {
+    fn from(p: TopologyParts) -> Self {
+        Topology {
+            all_arcs_paired: p.reverse.iter().all(Option::is_some),
+            name: p.name,
+            nodes: p.nodes,
+            arcs: p.arcs,
+            out: p.out,
+            inc: p.inc,
+            reverse: p.reverse,
+        }
+    }
 }
 
 impl Topology {
@@ -186,6 +238,13 @@ impl Topology {
     /// The opposite-direction arc of the same physical link, if any.
     pub fn reverse(&self, a: ArcId) -> Option<ArcId> {
         self.reverse[a.idx()]
+    }
+
+    /// Whether every arc has a reverse (every link is bidirectional).
+    /// The two arcs of a link share one power state, so on such a
+    /// topology reachability over any [`crate::ActiveSet`] is symmetric.
+    pub fn all_arcs_paired(&self) -> bool {
+        self.all_arcs_paired
     }
 
     /// Canonical link id for an arc: the smaller of the arc id and its
@@ -414,14 +473,14 @@ impl TopologyBuilder {
             out[arc.src.idx()].push(ArcId(i as u32));
             inc[arc.dst.idx()].push(ArcId(i as u32));
         }
-        let t = Topology {
+        let t = Topology::from(TopologyParts {
             name: self.name,
             nodes: self.nodes,
             arcs: self.arcs,
             out,
             inc,
             reverse: self.reverse,
-        };
+        });
         debug_assert_eq!(t.validate(), Ok(()));
         t
     }
@@ -510,6 +569,11 @@ mod tests {
         assert_eq!(back.node_count(), t.node_count());
         assert_eq!(back.arc_count(), t.arc_count());
         assert_eq!(back.validate(), Ok(()));
+        assert!(back.all_arcs_paired());
+        assert!(
+            !js.contains("all_arcs_paired"),
+            "derived flag is not serialized"
+        );
     }
 
     #[test]
@@ -522,6 +586,20 @@ mod tests {
         assert!((t.arc(f).capacity - 10.0 * MBPS).abs() < 1.0);
         assert!((t.arc(r).capacity - 5.0 * MBPS).abs() < 1.0);
         assert_eq!(t.link_count(), 1);
+        assert!(t.all_arcs_paired());
+    }
+
+    #[test]
+    fn unpaired_arc_clears_the_paired_flag() {
+        let mut b = TopologyBuilder::new("oneway");
+        let a = b.add_node("a");
+        let c = b.add_node("c");
+        b.add_link(a, c, MBPS, MS);
+        b.add_arc(a, c, MBPS, MS);
+        let t = b.build();
+        assert!(!t.all_arcs_paired());
+        let back: Topology = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert!(!back.all_arcs_paired(), "recomputed on deserialize");
     }
 
     #[test]
