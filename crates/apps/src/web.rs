@@ -72,7 +72,7 @@ impl WebResult {
             return 0.0;
         }
         let mut v = self.latencies.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(|a, b| a.total_cmp(b));
         let idx = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
         v[idx.min(v.len() - 1)]
     }

@@ -47,10 +47,11 @@
 //! store as runs land. It exits when every expected run has finished,
 //! the stream ends, or `--timeout-s` elapses.
 //!
-//! `--profile` runs every freshly-executed simnet scenario through the
-//! span-profiled entry point: per-run wall time and the top phases land
-//! in `timings/<hash>.json` sidecars, surface in the report's `wall (s)`
-//! / `slowest phase` columns, and ride `RunFinished` progress events.
+//! `--profile` runs every freshly-executed simnet scenario under the
+//! span profiler (`Capture::Profile`): per-run wall time and the top
+//! phases land in `timings/<hash>.json` sidecars, surface in the
+//! report's `wall (s)` / `slowest phase` columns, and ride
+//! `RunFinished` progress events.
 //! Stored runs, traces, and summaries stay byte-identical to an
 //! unprofiled campaign (Span lines are stripped before trace storage).
 

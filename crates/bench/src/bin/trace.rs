@@ -1,6 +1,6 @@
 //! The trace CLI: capture, inspect, validate, and convert telemetry
-//! traces (`ecp-telemetry` JSONL) produced by the traced scenario entry
-//! points and the campaign executor.
+//! traces (`ecp-telemetry` JSONL) produced by
+//! [`ecp_scenario::run`](fn@ecp_scenario::run) and the campaign executor.
 //!
 //! ```text
 //! trace run       <registry-id|scenario.toml> [--out FILE] [--snapshot FILE]
@@ -12,12 +12,12 @@
 //! ```
 //!
 //! `run` executes a scenario (experiment-registry id, or a scenario
-//! TOML path) through [`ecp_scenario::run_scenario_traced`] and writes
-//! the JSONL event trace to stdout or `--out`; `--snapshot` also writes
-//! the counter/histogram snapshot as pretty JSON. Traces are
+//! TOML path) through [`ecp_scenario::run`](fn@ecp_scenario::run) and
+//! writes the JSONL event trace to stdout or `--out`; `--snapshot` also
+//! writes the counter/histogram snapshot as pretty JSON. Traces are
 //! deterministic — a pure function of the scenario — so two `run`s of
-//! the same id `diff` clean. With `--profile` the run goes through the
-//! span-profiled entry point instead: wall-clock `Span` lines ride the
+//! the same id `diff` clean. With `--profile` the run is span-profiled
+//! ([`ecp_scenario::Capture::Profile`]): wall-clock `Span` lines ride the
 //! trace (event lines stay byte-identical), and `--timing FILE` writes
 //! the per-phase [`ecp_scenario::TimingSnapshot`] (count, total/self
 //! time, p50/p95/p99) as pretty JSON.
@@ -35,6 +35,7 @@
 //! profiling spans render as duration (`ph: "X"`) events in wall-clock
 //! microseconds under pid 2, so the two timebases never share a track.
 
+use ecp_scenario::{run, Capture, MonoClock, RunOutput};
 use ecp_simnet::{PowerKind, TelemetryEvent};
 use serde_json::{Map, Value};
 use std::path::Path;
@@ -55,6 +56,19 @@ fn usage() -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("trace: {msg}");
     exit(1)
+}
+
+fn write_file(path: &str, body: String) {
+    if let Err(e) = std::fs::write(path, body) {
+        fail(&format!("write {path}: {e}"));
+    }
+}
+
+fn write_pretty_json<T: serde::Serialize>(path: &str, value: &T) {
+    write_file(
+        path,
+        serde_json::to_string_pretty(value).expect("value serializes"),
+    );
 }
 
 fn read_lines(path: &str) -> Vec<String> {
@@ -109,22 +123,18 @@ fn cmd_run(
         fail("--timing requires --profile");
     }
     let scenario = resolve_scenario(input);
-    let (trace, timing) = if profile {
-        match ecp_scenario::run_scenario_profiled(&scenario) {
-            Ok((_, trace, timing)) => (trace, Some(timing)),
-            Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
-        }
+    let capture = if profile {
+        Capture::Profile(Box::new(MonoClock::default()))
     } else {
-        match ecp_scenario::run_scenario_traced(&scenario) {
-            Ok((_, trace)) => (trace, None),
-            Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
-        }
+        Capture::Trace
+    };
+    let RunOutput { trace, timing, .. } = match run(&scenario, None, capture) {
+        Ok(out) => out,
+        Err(e) => fail(&format!("run `{}`: {e}", scenario.name)),
     };
     match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
-                fail(&format!("write {path}: {e}"));
-            }
+            write_file(path, trace.to_jsonl());
             println!("wrote {path} ({} events)", trace.lines.len());
         }
         None => {
@@ -137,18 +147,12 @@ fn cmd_run(
         let Some(snap) = &trace.snapshot else {
             fail("scenario produced no telemetry snapshot (non-simnet engine?)");
         };
-        let body = serde_json::to_string_pretty(snap).expect("snapshot serializes");
-        if let Err(e) = std::fs::write(path, body) {
-            fail(&format!("write {path}: {e}"));
-        }
+        write_pretty_json(path, snap);
         println!("wrote {path}");
     }
     if let Some(path) = timing_out {
         let t = timing.as_ref().expect("profiled run produced a timing");
-        let body = serde_json::to_string_pretty(t).expect("timing serializes");
-        if let Err(e) = std::fs::write(path, body) {
-            fail(&format!("write {path}: {e}"));
-        }
+        write_pretty_json(path, t);
         println!("wrote {path} ({} spans)", t.spans.len());
     }
 }
@@ -647,9 +651,7 @@ fn cmd_chrome(path: &str, out: Option<&str>) {
     let body = serde_json::to_string(&doc).expect("chrome trace serializes");
     match out {
         Some(p) => {
-            if let Err(e) = std::fs::write(p, body) {
-                fail(&format!("write {p}: {e}"));
-            }
+            write_file(p, body);
             println!("wrote {p} ({} events)", events.len());
         }
         None => println!("{body}"),

@@ -7,7 +7,7 @@
 //! observability contract the BENCH trajectory's phase breakdowns and
 //! the chrome trace converter build on.
 
-use ecp_scenario::{run::run_scenario_profiled_with_clock, FakeClock};
+use ecp_scenario::{run, Capture, FakeClock, RunOutput, Scenario};
 
 /// Shortened te-stability shape: same topology/coupling regime as the
 /// golden-pinned family, cut to 10 s so six profiled arms stay fast.
@@ -15,12 +15,22 @@ fn family_scenario(control: ecp_scenario::ControlSpec) -> ecp_scenario::Scenario
     ecp_bench::scenarios::te_stability(10.0, 0.7, control)
 }
 
+/// A profiled run on a deterministic clock.
+fn fake_profiled(scenario: &Scenario) -> Result<RunOutput, ecp_scenario::ScenarioError> {
+    run(
+        scenario,
+        None,
+        Capture::Profile(Box::new(FakeClock::new(1e-6))),
+    )
+}
+
 #[test]
 fn every_policy_arm_profiles_all_control_phases() {
     for (id, control) in ecp_bench::scenarios::te_stability_policies() {
         let scenario = family_scenario(control);
-        let (_, trace, timing) = run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6))
-            .unwrap_or_else(|e| panic!("{id}: profiled run failed: {e}"));
+        let RunOutput { trace, timing, .. } =
+            fake_profiled(&scenario).unwrap_or_else(|e| panic!("{id}: profiled run failed: {e}"));
+        let timing = timing.expect("profiled runs carry a timing");
         for phase in [
             "event_drain",
             "round_observe",
@@ -65,19 +75,20 @@ fn every_policy_arm_profiles_all_control_phases() {
 fn fake_clock_profiles_are_deterministic_per_arm() {
     for (id, control) in ecp_bench::scenarios::te_stability_policies() {
         let scenario = family_scenario(control);
-        let (ra, ta, tma) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
-        let (rb, tb, tmb) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
+        let a = fake_profiled(&scenario).unwrap();
+        let b = fake_profiled(&scenario).unwrap();
         assert_eq!(
-            serde_json::to_string(&ra).unwrap(),
-            serde_json::to_string(&rb).unwrap(),
+            serde_json::to_string(&a.report).unwrap(),
+            serde_json::to_string(&b.report).unwrap(),
             "{id}: reports diverged"
         );
-        assert_eq!(ta.lines, tb.lines, "{id}: span-bearing traces diverged");
         assert_eq!(
-            serde_json::to_string(&tma).unwrap(),
-            serde_json::to_string(&tmb).unwrap(),
+            a.trace.lines, b.trace.lines,
+            "{id}: span-bearing traces diverged"
+        );
+        assert_eq!(
+            serde_json::to_string(&a.timing).unwrap(),
+            serde_json::to_string(&b.timing).unwrap(),
             "{id}: timing snapshots diverged"
         );
     }

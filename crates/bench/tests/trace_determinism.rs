@@ -15,11 +15,16 @@
 //! ```
 
 use ecp_campaign::{exec, CampaignSpec, EntrySpec, ResultStore};
-use ecp_scenario::Param;
+use ecp_scenario::{run, Capture, Param, RunOutput, Scenario};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A traced run without a cache.
+fn traced(scenario: &Scenario) -> RunOutput {
+    run(scenario, None, Capture::Trace).unwrap()
+}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -35,7 +40,7 @@ fn golden_path() -> PathBuf {
 #[test]
 fn fig7_trace_matches_golden() {
     let scenario = ecp_bench::scenarios::campaign_scenario("fig7-click-adaptation").unwrap();
-    let (_, trace) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
+    let trace = traced(&scenario).trace;
     let body = trace.to_jsonl();
     assert!(!trace.lines.is_empty(), "fig7 must trace events");
 
@@ -97,8 +102,8 @@ proptest! {
         Param::Seed.apply(&mut scenario, seed as f64);
         Param::LoadScale.apply(&mut scenario, load);
 
-        let (report_a, trace_a) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
-        let (report_b, trace_b) = ecp_scenario::run_scenario_traced(&scenario).unwrap();
+        let RunOutput { report: report_a, trace: trace_a, .. } = traced(&scenario);
+        let RunOutput { report: report_b, trace: trace_b, .. } = traced(&scenario);
         prop_assert_eq!(&trace_a.lines, &trace_b.lines, "{}: trace not deterministic", ids[which]);
         prop_assert_eq!(&trace_a.snapshot, &trace_b.snapshot);
         prop_assert!(!trace_a.lines.is_empty());

@@ -4,7 +4,7 @@
 use crate::spec::CampaignSpec;
 use crate::store::{run_hash, ResultStore, RunFailure, RunTiming, StoredRun};
 use crate::{CampaignError, Resolver};
-use ecp_scenario::{Axis, Param, ResolveCache, Scenario, ScenarioReport, SweepRunner};
+use ecp_scenario::{run, Axis, Capture, MonoClock, Param, ResolveCache, Scenario, SweepRunner};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -102,7 +102,7 @@ pub struct ExecOptions {
     /// parent). Event *order* follows completion and is not
     /// deterministic; the stored artifacts are.
     pub progress: bool,
-    /// Execute runs through the span-profiled entry point and write a
+    /// Execute runs span-profiled (`Capture::Profile`) and write a
     /// wall-time sidecar per run (`timings/<hash>.json`). Off by
     /// default: profiling reads the wall clock, so its outputs live
     /// outside the deterministic `runs/` + `traces/` contract (span
@@ -171,29 +171,27 @@ fn emit_progress(ev: &ProgressEvent) {
 }
 
 /// The `RunFinished` event for a stored outcome.
-#[allow(clippy::too_many_arguments)]
 fn finished_event(
     shard: u64,
     hash: &str,
     u: &RunUnit,
     cached: bool,
-    report: Option<&ScenarioReport>,
-    telemetry: Option<&ecp_scenario::TelemetrySnapshot>,
-    failed: bool,
+    run: &StoredRun,
     timing: Option<&RunTiming>,
 ) -> ProgressEvent {
+    let report = run.report.as_ref();
     ProgressEvent::RunFinished {
         shard,
         hash: hash.to_string(),
         entry: u.entry.clone(),
         name: u.scenario.name.clone(),
         cached,
-        failed,
+        failed: run.failure.is_some(),
         mean_power_frac: report.map(|r| r.mean_power_frac),
         mean_delivered_fraction: report.map(|r| r.mean_delivered_fraction),
         wall_s: timing.map(|t| t.wall_s),
         phases: timing.map(|t| t.phases.clone()).unwrap_or_default(),
-        settle_time_s: telemetry.and_then(|t| t.settle_time_s),
+        settle_time_s: run.telemetry.as_ref().and_then(|t| t.settle_time_s),
         shortfall_fraction: report
             .and_then(|r| r.stability.as_ref())
             .map(|s| s.shortfall_fraction),
@@ -272,20 +270,10 @@ pub fn run_shard(
             .map(|(hash, u)| {
                 if !opts.force {
                     if let Some(cached) = store.load(hash) {
-                        let failed = cached.failure.is_some();
                         if opts.progress {
-                            emit_progress(&finished_event(
-                                k as u64,
-                                hash,
-                                u,
-                                true,
-                                cached.report.as_ref(),
-                                cached.telemetry.as_ref(),
-                                failed,
-                                None,
-                            ));
+                            emit_progress(&finished_event(k as u64, hash, u, true, &cached, None));
                         }
-                        return Ok((0, 1, failed as usize));
+                        return Ok((0, 1, cached.failure.is_some() as usize));
                     }
                 }
                 if opts.progress {
@@ -297,46 +285,29 @@ pub fn run_shard(
                     });
                 }
                 let t_run = Instant::now();
-                let (report, telemetry, failure, phases) = if opts.profile {
-                    match resolve_cache.run_profiled(&u.scenario) {
-                        Ok((r, trace, timing)) => {
-                            // Span lines carry wall-clock durations;
-                            // strip them so the stored trace artifact
-                            // stays the deterministic event stream.
-                            let event_lines: Vec<String> = trace
-                                .lines
-                                .iter()
-                                .filter(|l| !l.starts_with("{\"Span\""))
-                                .cloned()
-                                .collect();
-                            if !event_lines.is_empty() {
-                                store.save_trace(hash, &event_lines)?;
-                            }
-                            if let Some(ts) = &trace.timeseries {
-                                store.save_timeseries(hash, ts)?;
-                            }
-                            (Some(r), trace.snapshot, None, timing.top_phases(3))
-                        }
-                        Err(e) => (
-                            None,
-                            None,
-                            Some(RunFailure {
-                                kind: e.kind().into(),
-                                message: e.to_string(),
-                            }),
-                            Vec::new(),
-                        ),
-                    }
+                let capture = if opts.profile {
+                    Capture::Profile(Box::new(MonoClock::default()))
                 } else {
-                    match resolve_cache.run_traced(&u.scenario) {
-                        Ok((r, trace)) => {
-                            if !trace.lines.is_empty() {
-                                store.save_trace(hash, &trace.lines)?;
+                    Capture::Trace
+                };
+                let (report, telemetry, failure, phases) =
+                    match run(&u.scenario, Some(&resolve_cache), capture) {
+                        Ok(out) => {
+                            let mut lines = out.trace.lines;
+                            if opts.profile {
+                                // Span lines carry wall-clock durations;
+                                // strip them so the stored trace artifact
+                                // stays the deterministic event stream.
+                                lines.retain(|l| !l.starts_with("{\"Span\""));
                             }
-                            if let Some(ts) = &trace.timeseries {
+                            if !lines.is_empty() {
+                                store.save_trace(hash, &lines)?;
+                            }
+                            if let Some(ts) = &out.trace.timeseries {
                                 store.save_timeseries(hash, ts)?;
                             }
-                            (Some(r), trace.snapshot, None, Vec::new())
+                            let phases = out.timing.map(|t| t.top_phases(3)).unwrap_or_default();
+                            (Some(out.report), out.trace.snapshot, None, phases)
                         }
                         Err(e) => (
                             None,
@@ -347,8 +318,7 @@ pub fn run_shard(
                             }),
                             Vec::new(),
                         ),
-                    }
-                };
+                    };
                 let timing = RunTiming {
                     wall_s: t_run.elapsed().as_secs_f64(),
                     phases,
@@ -356,8 +326,7 @@ pub fn run_shard(
                 if opts.profile {
                     store.save_timing(hash, &timing)?;
                 }
-                let failed = failure.is_some();
-                let run = StoredRun {
+                let stored = StoredRun {
                     code_salt: crate::CODE_SALT.into(),
                     hash: hash.clone(),
                     name: u.scenario.name.clone(),
@@ -367,20 +336,18 @@ pub fn run_shard(
                     failure,
                     telemetry,
                 };
-                store.save(&run)?;
+                store.save(&stored)?;
                 if opts.progress {
                     emit_progress(&finished_event(
                         k as u64,
                         hash,
                         u,
                         false,
-                        run.report.as_ref(),
-                        run.telemetry.as_ref(),
-                        failed,
+                        &stored,
                         Some(&timing),
                     ));
                 }
-                Ok((1, 0, failed as usize))
+                Ok((1, 0, stored.failure.is_some() as usize))
             })
             .collect()
     };

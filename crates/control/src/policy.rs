@@ -199,7 +199,7 @@ fn ewma_views_into(
 /// against the trend of each path's headroom instead of one round's
 /// transient, so a single round of collectively-freed headroom no
 /// longer triggers a collective re-aggregation. (Smoothing semantics:
-/// see [`ewma_views_into`].)
+/// see `ewma_views_into`.)
 #[derive(Debug, Clone, Default)]
 pub struct Ewma {
     cfg: EwmaCfg,
@@ -272,7 +272,7 @@ impl Default for AdaptiveEwmaCfg {
 ///
 /// Like [`Ewma`], availability is never smoothed and a path's estimate
 /// resets to the raw observation when its availability flips, so
-/// failure reaction stays immediate (the shared [`ewma_views_into`]
+/// failure reaction stays immediate (the shared `ewma_views_into`
 /// core).
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveEwma {
@@ -921,7 +921,7 @@ mod tests {
         // Jitter actually spreads agents out.
         let distinct = {
             let mut v = phases.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v.sort_by(|a, b| a.total_cmp(b));
             v.dedup();
             v.len()
         };

@@ -46,7 +46,7 @@ impl PathUsage {
     /// The paths of one pair ranked by carried traffic (descending).
     pub fn ranked(&self, origin: NodeId, dst: NodeId) -> Vec<(Path, f64)> {
         let mut v = self.usage.get(&(origin, dst)).cloned().unwrap_or_default();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        v.sort_by(|a, b| b.1.total_cmp(&a.1));
         v
     }
 
@@ -62,7 +62,7 @@ impl PathUsage {
         let mut total = 0.0;
         for entry in self.usage.values() {
             let mut v: Vec<f64> = entry.iter().map(|(_, b)| *b).collect();
-            v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            v.sort_by(|a, b| b.total_cmp(a));
             total += v.iter().sum::<f64>();
             covered += v.iter().take(x).sum::<f64>();
         }

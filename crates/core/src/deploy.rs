@@ -116,7 +116,7 @@ pub fn deploy_most_important(
         order.sort_by(|&a, &b| {
             let ta = typical.get(working[a].0 .0, working[a].0 .1);
             let tb = typical.get(working[b].0 .0, working[b].0 .1);
-            ta.partial_cmp(&tb).unwrap()
+            ta.total_cmp(&tb)
         });
         // Pass 1: drop on-demand tables of unimportant pairs.
         for &i in &order {

@@ -83,7 +83,7 @@ pub fn place_matrix(
     let mut active = tables.always_on_active(topo);
 
     let mut demands = tm.demands().to_vec();
-    demands.sort_by(|a, b| b.rate.partial_cmp(&a.rate).unwrap());
+    demands.sort_by(|a, b| b.rate.total_cmp(&a.rate));
     for d in &demands {
         let paths = match tables.get(d.origin, d.dst) {
             Some(p) => p,

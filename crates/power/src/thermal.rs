@@ -4,7 +4,7 @@
 //! REsPoNse allows network operators to provision their network for the
 //! typical, low to medium level of traffic. Our trace analysis reveals
 //! that the average peak duration is less than 2 hours long [...]
-//! existing thermodynamic models like [38] can estimate how long the
+//! existing thermodynamic models like \[38\] can estimate how long the
 //! peak utilization can be accommodated without extra cooling, while
 //! keeping the temperature at desired levels."
 //!

@@ -29,6 +29,10 @@
 //! (`App` — streaming and web). The experiment harness in `ecp-bench`
 //! builds every figure/ablation binary from these pieces.
 //!
+//! [`run_scenario`] runs a scenario to its [`ScenarioReport`];
+//! [`run`](fn@run) also returns the event trace or a span profile
+//! ([`Capture`]), optionally sharing planning through a [`ResolveCache`].
+//!
 //! ## TOML example
 //!
 //! ```
@@ -99,11 +103,10 @@ pub use ecp_simnet::TimeseriesPoint;
 pub use ecp_simnet::{FakeClock, MonoClock, SpanTiming, TimingSnapshot};
 pub use error::ScenarioError;
 pub use run::{
-    resolution_key, resolve, resolve_with_sink, run_resolved, run_resolved_profiled,
-    run_resolved_traced, run_scenario, run_scenario_profiled, run_scenario_profiled_with_clock,
-    run_scenario_traced, AppDetail, CapacityStats, CompareResult, DriftStats, FailoverStats,
-    PacketDetail, RecomputeStats, ReplayDetail, ResolveCache, ResolvedScenario, ScenarioReport,
-    SleepStats, StreamingRunStats, TableStats, TimeseriesOutput, TraceOutput,
+    resolution_key, resolve, run, run_resolved, run_resolved_traced, run_scenario, AppDetail,
+    CapacityStats, Capture, CompareResult, DriftStats, FailoverStats, PacketDetail, RecomputeStats,
+    ReplayDetail, ResolveCache, ResolvedScenario, RunOutput, ScenarioReport, SleepStats,
+    StreamingRunStats, TableStats, TimeseriesOutput, TraceOutput,
 };
 pub use spec::{
     AppSpec, CompareSpec, ControlSpec, EngineSpec, EventSpec, FlowProgram, LinkRef, MatrixSpec,

@@ -33,6 +33,7 @@ use respons_core::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The result of one scenario run. Serializable; with fixed spec + seed
 /// the JSON rendering is byte-identical across runs and thread counts.
@@ -91,7 +92,7 @@ pub struct ScenarioReport {
     #[serde(default)]
     pub stability: Option<StabilityReport>,
     /// Telemetry snapshot (`ecp-telemetry`), if `metrics.telemetry` and
-    /// the run went through a traced entry point (simnet engine only).
+    /// the run recorded telemetry ([`run`]; simnet engine only).
     #[serde(default)]
     pub telemetry: Option<TelemetrySnapshot>,
 }
@@ -285,7 +286,7 @@ pub struct ResolvedScenario {
     /// sweep grid point with the same resolution key). Before this
     /// cache the probe re-ran inside *every* `run_resolved` call,
     /// a flat per-run cost that dwarfed short simulations.
-    vmax: std::sync::OnceLock<f64>,
+    vmax: OnceLock<f64>,
 }
 
 impl ResolvedScenario {
@@ -304,14 +305,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
     run_resolved(scenario, &resolved)
 }
 
-/// Run a scenario end to end with telemetry capture (JSONL sink).
-pub fn run_scenario_traced(
-    scenario: &Scenario,
-) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-    let resolved = resolve(scenario)?;
-    run_resolved_traced(scenario, &resolved)
-}
-
 /// Resolve the static parts of a scenario (topology, pairs, tables)
 /// without running it.
 pub fn resolve(scenario: &Scenario) -> Result<ResolvedScenario, ScenarioError> {
@@ -323,7 +316,7 @@ pub fn resolve(scenario: &Scenario) -> Result<ResolvedScenario, ScenarioError> {
 /// (Dijkstra/Yen) under `resolve_plan`. With [`NoopSink`] (the plain
 /// [`resolve`] path) every span call compiles out. On error the open
 /// span is abandoned with the sink — error paths are not profiled.
-pub fn resolve_with_sink<S: TelemetrySink>(
+fn resolve_with_sink<S: TelemetrySink>(
     scenario: &Scenario,
     sink: &mut S,
 ) -> Result<ResolvedScenario, ScenarioError> {
@@ -341,7 +334,7 @@ pub fn resolve_with_sink<S: TelemetrySink>(
         power,
         pairs,
         tables: PathTables::new(),
-        vmax: std::sync::OnceLock::new(),
+        vmax: OnceLock::new(),
     };
     if S::SPANS {
         sink.span_enter(SpanName::ResolvePlan);
@@ -349,7 +342,11 @@ pub fn resolve_with_sink<S: TelemetrySink>(
     resolved.tables = match scenario.tables {
         TablesSpec::Planned | TablesSpec::PlannedAllPairs => {
             let peak = match scenario.planner.peak_level() {
-                Some(level) => Some(offered_matrix(scenario, &resolved)?.at(level)?),
+                Some(level) => {
+                    // The planner reads the traffic before any engine runs.
+                    scenario.traffic.validate()?;
+                    Some(offered_matrix(scenario, &resolved)?.at(level))
+                }
                 None => None,
             };
             let cfg = scenario.planner.to_config(peak);
@@ -432,12 +429,7 @@ pub struct ResolveCache {
     /// and same-key workers arriving meanwhile block on that slot
     /// instead of duplicating the planning pass.
     #[allow(clippy::type_complexity)]
-    map: std::sync::Mutex<
-        std::collections::HashMap<
-            String,
-            std::sync::Arc<std::sync::Mutex<Option<std::sync::Arc<ResolvedScenario>>>>,
-        >,
-    >,
+    map: Mutex<HashMap<String, Arc<Mutex<Option<Arc<ResolvedScenario>>>>>>,
 }
 
 impl ResolveCache {
@@ -462,27 +454,8 @@ impl ResolveCache {
     }
 
     /// Resolve through the cache.
-    pub fn resolve(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<std::sync::Arc<ResolvedScenario>, ScenarioError> {
-        let key = resolution_key(scenario);
-        let slot = std::sync::Arc::clone(
-            self.map
-                .lock()
-                .expect("resolve cache lock")
-                .entry(key)
-                .or_default(),
-        );
-        let mut guard = slot.lock().expect("resolve slot lock");
-        if let Some(hit) = guard.as_ref() {
-            return Ok(std::sync::Arc::clone(hit));
-        }
-        // Plan while holding only this key's slot lock. On error the
-        // slot stays empty, so a later caller retries.
-        let resolved = std::sync::Arc::new(resolve(scenario)?);
-        *guard = Some(std::sync::Arc::clone(&resolved));
-        Ok(resolved)
+    pub fn resolve(&self, scenario: &Scenario) -> Result<Arc<ResolvedScenario>, ScenarioError> {
+        lookup(Some(self), scenario, &mut NoopSink)
     }
 
     /// Run a scenario end to end, sharing resolution artifacts with
@@ -491,52 +464,51 @@ impl ResolveCache {
         let resolved = self.resolve(scenario)?;
         run_resolved(scenario, &resolved)
     }
+}
 
-    /// Like [`ResolveCache::run`], but capturing telemetry. Resolution
-    /// artifacts are shared with untraced runs of the same key
-    /// (tracing never affects resolution).
-    pub fn run_traced(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-        let resolved = self.resolve(scenario)?;
-        run_resolved_traced(scenario, &resolved)
-    }
-
-    /// Like [`ResolveCache::run_traced`], but with profiling spans.
-    /// Whether this key's resolution was served from the cache shows
-    /// up as a `resolve_cache_hit` / `resolve_cache_miss` span (the
-    /// miss span covers the planning pass, including any time spent
-    /// blocked on another worker planning the same key).
-    pub fn run_profiled(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-        let mut sink = SpanSink::new();
-        let key = resolution_key(scenario);
-        let slot = std::sync::Arc::clone(
-            self.map
-                .lock()
-                .expect("resolve cache lock")
-                .entry(key)
-                .or_default(),
-        );
-        let mut guard = slot.lock().expect("resolve slot lock");
-        let resolved = if let Some(hit) = guard.as_ref() {
+/// Resolve `scenario`, through `cache` when one is given. A cached
+/// lookup records whether the key was served from the cache as a
+/// `resolve_cache_hit` / `resolve_cache_miss` span (the miss span
+/// covers the planning pass); with [`NoopSink`] the spans compile out.
+fn lookup<S: TelemetrySink>(
+    cache: Option<&ResolveCache>,
+    scenario: &Scenario,
+    sink: &mut S,
+) -> Result<Arc<ResolvedScenario>, ScenarioError> {
+    let Some(cache) = cache else {
+        return Ok(Arc::new(resolve_with_sink(scenario, sink)?));
+    };
+    let key = resolution_key(scenario);
+    let slot = Arc::clone(
+        cache
+            .map
+            .lock()
+            .expect("resolve cache lock")
+            .entry(key)
+            .or_default(),
+    );
+    let mut guard = slot.lock().expect("resolve slot lock");
+    if let Some(hit) = guard.as_ref() {
+        if S::SPANS {
             sink.span_enter(SpanName::ResolveCacheHit);
-            let resolved = std::sync::Arc::clone(hit);
+        }
+        let hit = Arc::clone(hit);
+        if S::SPANS {
             sink.span_exit(SpanName::ResolveCacheHit);
-            resolved
-        } else {
-            sink.span_enter(SpanName::ResolveCacheMiss);
-            let resolved = std::sync::Arc::new(resolve_with_sink(scenario, &mut sink)?);
-            *guard = Some(std::sync::Arc::clone(&resolved));
-            sink.span_exit(SpanName::ResolveCacheMiss);
-            resolved
-        };
-        drop(guard);
-        run_resolved_profiled_into(scenario, &resolved, sink)
+        }
+        return Ok(hit);
     }
+    // Plan while holding only this key's slot lock. On error the slot
+    // stays empty, so a later caller retries.
+    if S::SPANS {
+        sink.span_enter(SpanName::ResolveCacheMiss);
+    }
+    let resolved = Arc::new(resolve_with_sink(scenario, sink)?);
+    *guard = Some(Arc::clone(&resolved));
+    if S::SPANS {
+        sink.span_exit(SpanName::ResolveCacheMiss);
+    }
+    Ok(resolved)
 }
 
 /// The campaign-observatory timeline of one simnet run
@@ -571,8 +543,9 @@ impl TimeseriesOutput {
 /// The telemetry by-products of a traced run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceOutput {
-    /// JSONL trace lines in emission order. Empty for engines without
-    /// tracing support (everything but simnet).
+    /// JSONL trace lines in emission order: simnet events, interleaved
+    /// with `Span` lines when profiled. Empty for an unprofiled run of
+    /// an engine without tracing support (everything but simnet).
     pub lines: Vec<String>,
     /// Aggregated snapshot; `None` for engines without tracing.
     pub snapshot: Option<TelemetrySnapshot>,
@@ -582,9 +555,19 @@ pub struct TraceOutput {
 }
 
 impl TraceOutput {
-    /// Whether the run produced any trace at all.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty() && self.snapshot.is_none() && self.timeseries.is_none()
+    /// Package a recording sink's by-products. Only the simulator emits
+    /// telemetry, so other engines get no snapshot.
+    fn new(
+        scenario: &Scenario,
+        snapshot: Option<TelemetrySnapshot>,
+        lines: Vec<String>,
+        timeseries: Option<TimeseriesOutput>,
+    ) -> Self {
+        TraceOutput {
+            lines,
+            snapshot: snapshot.filter(|_| matches!(scenario.engine, EngineSpec::Simnet)),
+            timeseries,
+        }
     }
 
     /// The trace as one newline-terminated JSONL document.
@@ -598,53 +581,108 @@ impl TraceOutput {
     }
 }
 
-/// Reject spec combinations an engine would otherwise silently ignore
-/// (control policies, stability analysis, and telemetry capture only
-/// exist in the event-driven simulator), and simulator knobs the
-/// simnet engine cannot run (`SimSpec::validate`).
+/// What a [`run`] records besides the report.
+pub enum Capture {
+    /// The event trace and its aggregated snapshot ([`JsonlSink`]).
+    Trace,
+    /// The event trace with profiling `Span` lines interleaved, timed
+    /// on this clock ([`SpanSink`]): [`ecp_simnet::MonoClock`] for wall
+    /// time, [`ecp_simnet::FakeClock`] for a deterministic span tree.
+    Profile(Box<dyn Clock>),
+}
+
+/// Everything a [`run`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutput {
+    /// The report, byte-identical to [`run_scenario`]'s.
+    pub report: ScenarioReport,
+    /// Trace lines, snapshot and observatory timeline.
+    pub trace: TraceOutput,
+    /// Per-phase timing; `Some` only under [`Capture::Profile`].
+    pub timing: Option<TimingSnapshot>,
+}
+
+/// Run a scenario end to end with telemetry capture: the entry point
+/// for traced and profiled runs (campaign executor, `trace run`).
+///
+/// With a `cache`, the resolution is shared with every other run of the
+/// same [`resolution_key`]. The sink observes the run but never steers
+/// it, so the report is byte-identical to [`run_scenario`]'s and the
+/// event lines of a profiled trace are exactly the traced run's (pinned
+/// by the `profiling_parity` proptest). A profiled run times resolve,
+/// oracle-probe and simulation phases; for engines other than simnet
+/// only the resolve phases are instrumented, so the trace holds span
+/// lines only.
+pub fn run(
+    scenario: &Scenario,
+    cache: Option<&ResolveCache>,
+    capture: Capture,
+) -> Result<RunOutput, ScenarioError> {
+    let (report, trace, timing) = match capture {
+        Capture::Trace => {
+            let resolved = lookup(cache, scenario, &mut NoopSink)?;
+            let (report, trace) = run_resolved_traced(scenario, &resolved)?;
+            (report, trace, None)
+        }
+        Capture::Profile(clock) => {
+            let mut sink = SpanSink::with_clock(clock);
+            let resolved = lookup(cache, scenario, &mut sink)?;
+            let (report, mut sink, timeseries) = execute(scenario, &resolved, sink)?;
+            let timing = sink.timing();
+            let trace = TraceOutput::new(scenario, sink.snapshot(), sink.into_lines(), timeseries);
+            (report, trace, Some(timing))
+        }
+    };
+    Ok(RunOutput {
+        report,
+        trace,
+        timing,
+    })
+}
+
+/// Reject traffic knobs no engine can run (`TrafficSpec::validate`, a
+/// replay's `PeakSpec::validate`), spec combinations an engine would
+/// otherwise silently ignore (control policies, stability analysis,
+/// and telemetry capture only exist in the event-driven simulator), and
+/// simulator knobs the simnet engine cannot run (`SimSpec::validate`).
 fn validate_engine_features(scenario: &Scenario) -> Result<(), ScenarioError> {
-    scenario
-        .control
-        .validate()
-        .map_err(ScenarioError::Invalid)?;
-    if matches!(scenario.engine, EngineSpec::Simnet) {
-        scenario
-            .sim
-            .validate(scenario.duration_s, &scenario.metrics, &scenario.events)
-            .map_err(ScenarioError::Invalid)?;
-    } else {
-        let engine = match &scenario.engine {
-            EngineSpec::Replay(_) => "replay",
-            EngineSpec::Packet(_) => "packet",
-            EngineSpec::App(_) => "app",
-            EngineSpec::Simnet => unreachable!(),
-        };
-        if scenario.control != ControlSpec::Undamped {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "control policies (use the Simnet engine)",
-            ));
+    scenario.control.validate()?;
+    scenario.traffic.validate()?;
+    let engine = match &scenario.engine {
+        EngineSpec::Simnet => {
+            return Ok(scenario.sim.validate(
+                scenario.duration_s,
+                &scenario.metrics,
+                &scenario.events,
+            )?);
         }
-        if scenario.metrics.stability {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "stability analysis (use the Simnet engine)",
-            ));
+        EngineSpec::Replay(ReplaySpec {
+            trace: TraceSpec::GeantLike { peak },
+            ..
+        }) => {
+            peak.validate()?;
+            "replay"
         }
-        if scenario.metrics.telemetry {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "telemetry capture (use the Simnet engine)",
-            ));
-        }
-        if scenario.metrics.timeseries {
-            return Err(ScenarioError::unsupported(
-                engine,
-                "timeseries capture (use the Simnet engine)",
-            ));
-        }
+        EngineSpec::Replay(_) => "replay",
+        EngineSpec::Packet(_) => "packet",
+        EngineSpec::App(_) => "app",
+    };
+    let simnet_only = [
+        (
+            scenario.control != ControlSpec::Undamped,
+            "control policies",
+        ),
+        (scenario.metrics.stability, "stability analysis"),
+        (scenario.metrics.telemetry, "telemetry capture"),
+        (scenario.metrics.timeseries, "timeseries capture"),
+    ];
+    match simnet_only.iter().find(|(set, _)| *set) {
+        Some((_, feature)) => Err(ScenarioError::unsupported(
+            engine,
+            format!("{feature} (use the Simnet engine)"),
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Run a scenario against an already-resolved context.
@@ -652,142 +690,62 @@ pub fn run_resolved(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<ScenarioReport, ScenarioError> {
-    validate_engine_features(scenario)?;
-    let mut report = match &scenario.engine {
-        EngineSpec::Simnet => run_simnet_with_sink(scenario, resolved, NoopSink).map(|(r, ..)| r),
-        EngineSpec::Replay(spec) => run_replay(scenario, resolved, spec),
-        EngineSpec::Packet(spec) => run_packet(scenario, resolved, spec),
-        EngineSpec::App(spec) => run_app(scenario, resolved, spec),
-    }?;
-    attach_table_metrics(scenario, resolved, &mut report)?;
-    Ok(report)
+    execute(scenario, resolved, NoopSink).map(|(report, ..)| report)
 }
 
-/// Run a scenario against an already-resolved context with telemetry
-/// capture. For the simnet engine the returned [`TraceOutput`] holds
-/// the JSONL event trace and the aggregated snapshot (attached to
-/// `report.telemetry` only when `metrics.telemetry` is set, so traced
-/// and untraced reports stay byte-identical otherwise); the other
-/// engines run exactly as [`run_resolved`] and return an empty trace.
+/// [`run_resolved`] with telemetry capture (a [`JsonlSink`]); see
+/// [`TraceOutput`]. The snapshot is attached to `report.telemetry`
+/// only when `metrics.telemetry` is set, so traced and untraced
+/// reports stay byte-identical otherwise.
 pub fn run_resolved_traced(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
 ) -> Result<(ScenarioReport, TraceOutput), ScenarioError> {
-    validate_engine_features(scenario)?;
-    let (mut report, trace) = match &scenario.engine {
-        EngineSpec::Simnet => {
-            let (report, sink, timeseries) =
-                run_simnet_with_sink(scenario, resolved, JsonlSink::new())?;
-            let snapshot = sink.snapshot();
-            (
-                report,
-                TraceOutput {
-                    lines: sink.into_lines(),
-                    snapshot,
-                    timeseries,
-                },
-            )
-        }
-        EngineSpec::Replay(spec) => (
-            run_replay(scenario, resolved, spec)?,
-            TraceOutput::default(),
-        ),
-        EngineSpec::Packet(spec) => (
-            run_packet(scenario, resolved, spec)?,
-            TraceOutput::default(),
-        ),
-        EngineSpec::App(spec) => (run_app(scenario, resolved, spec)?, TraceOutput::default()),
-    };
-    attach_table_metrics(scenario, resolved, &mut report)?;
+    let (report, sink, timeseries) = execute(scenario, resolved, JsonlSink::new())?;
+    let trace = TraceOutput::new(scenario, sink.snapshot(), sink.into_lines(), timeseries);
     Ok((report, trace))
 }
 
-/// Run a scenario end to end with profiling spans (wall-clock timing).
-///
-/// Resolve, oracle-probe, and simulation phases are timed into the
-/// returned [`TimingSnapshot`]; the [`TraceOutput`] carries the normal
-/// event lines interleaved with `Span` lines. The report is
-/// byte-identical to an unprofiled [`run_scenario`] — spans observe
-/// wall time but never simulation behavior (pinned by the
-/// `profiling_parity` proptest).
-pub fn run_scenario_profiled(
-    scenario: &Scenario,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    let mut sink = SpanSink::new();
-    let resolved = resolve_with_sink(scenario, &mut sink)?;
-    run_resolved_profiled_into(scenario, &resolved, sink)
-}
-
-/// [`run_scenario_profiled`] against an already-resolved context (the
-/// resolve phases are then missing from the profile).
-pub fn run_resolved_profiled(
+/// The one run body behind every entry point: validate, dispatch the
+/// engine, attach the table metrics. The sink is threaded through the
+/// simnet engine and returned for trace extraction; with [`NoopSink`]
+/// every instrumentation site compiles out. A span-recording sink
+/// also forces the (cached) oracle probe under `resolve_oracle`, so
+/// its cost lands in its own span instead of inside the first demand
+/// computation, and wraps the simnet run in `scenario_run`.
+fn execute<S: TelemetrySink>(
     scenario: &Scenario,
     resolved: &ResolvedScenario,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    run_resolved_profiled_into(scenario, resolved, SpanSink::new())
-}
-
-/// [`run_scenario_profiled`] on an explicit [`Clock`] — with
-/// [`ecp_simnet::FakeClock`] the resulting span tree is fully
-/// deterministic (used by tests pinning span names/nesting/self-times).
-pub fn run_scenario_profiled_with_clock<C: Clock>(
-    scenario: &Scenario,
-    clock: C,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
-    let mut sink = SpanSink::with_clock(clock);
-    let resolved = resolve_with_sink(scenario, &mut sink)?;
-    run_resolved_profiled_into(scenario, &resolved, sink)
-}
-
-/// Shared tail of the profiled entry points: probe the oracle under
-/// its own span when the traffic scale needs it, run the simulation
-/// under `scenario_run`, and split the sink into trace + timing. For
-/// non-simnet engines the run itself is not instrumented — the
-/// returned timing covers the resolve spans only and the trace is
-/// span lines only.
-fn run_resolved_profiled_into<C: Clock>(
-    scenario: &Scenario,
-    resolved: &ResolvedScenario,
-    mut sink: SpanSink<C>,
-) -> Result<(ScenarioReport, TraceOutput, TimingSnapshot), ScenarioError> {
+    mut sink: S,
+) -> Result<(ScenarioReport, S, Option<TimeseriesOutput>), ScenarioError> {
     validate_engine_features(scenario)?;
-    if matches!(
-        scenario.traffic.scale,
-        ScaleSpec::MaxFeasibleFraction { .. }
-    ) {
-        // Force the (cached) probe now so its cost lands in its own
-        // span instead of inside the first demand computation.
+    if S::SPANS
+        && matches!(
+            scenario.traffic.scale,
+            ScaleSpec::MaxFeasibleFraction { .. }
+        )
+    {
         sink.span_enter(SpanName::ResolveOracle);
         let _ = resolved.max_feasible_volume();
         sink.span_exit(SpanName::ResolveOracle);
     }
-    let (mut report, mut sink, timeseries) = match &scenario.engine {
+    let (mut report, sink, timeseries) = match &scenario.engine {
         EngineSpec::Simnet => {
-            sink.span_enter(SpanName::ScenarioRun);
-            let (report, mut sink, ts) = run_simnet_with_sink(scenario, resolved, sink)?;
-            sink.span_exit(SpanName::ScenarioRun);
-            (report, sink, ts)
+            if S::SPANS {
+                sink.span_enter(SpanName::ScenarioRun);
+            }
+            let (report, mut sink, timeseries) = run_simnet_with_sink(scenario, resolved, sink)?;
+            if S::SPANS {
+                sink.span_exit(SpanName::ScenarioRun);
+            }
+            (report, sink, timeseries)
         }
         EngineSpec::Replay(spec) => (run_replay(scenario, resolved, spec)?, sink, None),
         EngineSpec::Packet(spec) => (run_packet(scenario, resolved, spec)?, sink, None),
         EngineSpec::App(spec) => (run_app(scenario, resolved, spec)?, sink, None),
     };
     attach_table_metrics(scenario, resolved, &mut report)?;
-    let timing = sink.timing();
-    let snapshot = if matches!(scenario.engine, EngineSpec::Simnet) {
-        sink.snapshot()
-    } else {
-        None
-    };
-    Ok((
-        report,
-        TraceOutput {
-            lines: sink.into_lines(),
-            snapshot,
-            timeseries,
-        },
-        timing,
-    ))
+    Ok((report, sink, timeseries))
 }
 
 // ---- pair/table resolution ------------------------------------------------
@@ -950,20 +908,15 @@ impl OfferedMatrix<'_> {
         }
     }
 
-    /// The offered matrix at a program level.
-    fn at(&self, level: f64) -> Result<TrafficMatrix, ScenarioError> {
+    /// The offered matrix at a program level. [`offered_matrix`] has
+    /// rejected `PerFlowBps` with the Gravity matrix.
+    fn at(&self, level: f64) -> TrafficMatrix {
         let v = self.volume(level);
         let pairs = &self.resolved.pairs[..];
-        let per_flow = matches!(self.scenario.traffic.scale, ScaleSpec::PerFlowBps { .. });
-        match (self.scenario.traffic.matrix, per_flow) {
-            (MatrixSpec::Uniform, true) => Ok(uniform_matrix(pairs, v)),
-            (MatrixSpec::Uniform, false) => {
-                Ok(uniform_matrix(pairs, v / pairs.len().max(1) as f64))
-            }
-            (MatrixSpec::Gravity, false) => Ok(gravity_matrix(&self.resolved.built.topo, pairs, v)),
-            (MatrixSpec::Gravity, true) => {
-                Err("PerFlowBps scale requires the Uniform matrix".into())
-            }
+        match (self.scenario.traffic.matrix, self.scenario.traffic.scale) {
+            (MatrixSpec::Uniform, ScaleSpec::PerFlowBps { .. }) => uniform_matrix(pairs, v),
+            (MatrixSpec::Uniform, _) => uniform_matrix(pairs, v / pairs.len().max(1) as f64),
+            (MatrixSpec::Gravity, _) => gravity_matrix(&self.resolved.built.topo, pairs, v),
         }
     }
 }
@@ -979,10 +932,10 @@ fn demand_schedule(
         return Err("traffic program has no segments".into());
     }
     let offered = offered_matrix(scenario, resolved)?;
-    points
+    Ok(points
         .into_iter()
-        .map(|(t, level)| Ok((t, offered.at(level)?)))
-        .collect()
+        .map(|(t, level)| (t, offered.at(level)))
+        .collect())
 }
 
 // ---- event resolution -----------------------------------------------------
@@ -1190,7 +1143,7 @@ fn attach_table_metrics(
         });
     }
     if scenario.metrics.table_capacity {
-        let base = offered_matrix(scenario, resolved)?.at(1.0)?;
+        let base = offered_matrix(scenario, resolved)?.at(1.0);
         let te = scenario_te(scenario);
         let aon = max_supported_scale(topo, tables, &base, &te, 1);
         let all = max_supported_scale(topo, tables, &base, &te, 3);
@@ -1241,7 +1194,7 @@ fn run_simnet_with_sink<S: TelemetrySink>(
     let base1 = if overrides.is_empty() {
         None
     } else {
-        Some(offered_matrix(scenario, resolved)?.at(1.0)?)
+        Some(offered_matrix(scenario, resolved)?.at(1.0))
     };
     let mut sim = Simulation::with_telemetry(
         topo,
@@ -1521,7 +1474,7 @@ fn build_trace(
             let offered = offered_matrix(scenario, resolved)?;
             let matrices = (0..n)
                 .map(|i| offered.at(scenario.traffic.program.level_at(i as f64 * interval)))
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect();
             Ok(ResolvedTrace {
                 trace: Trace {
                     name: "program".into(),
@@ -1740,7 +1693,7 @@ fn run_replay_tables(
                 })
                 .collect(),
             CompareSpec::OptimalAtPeak { peak_level } => {
-                let tm = offered_matrix(scenario, resolved)?.at(*peak_level)?;
+                let tm = offered_matrix(scenario, resolved)?.at(*peak_level);
                 vec![ecp_routing::optimal_subset(topo, &resolved.power, &tm, &oc)
                     .map(|r| r.power_w / full)
                     .unwrap_or(f64::NAN)]

@@ -1,12 +1,12 @@
 //! The declarative scenario model: every knob of an experiment as data.
 
 use ecp_topo::gen::TopoSpec;
-use ecp_traffic::Program;
+use ecp_traffic::{Program, Shape};
 use serde::{Deserialize, Serialize};
 use std::fmt::Display;
 
 /// A complete, self-contained experiment description. Serializable to
-/// TOML/JSON; buildable with [`ScenarioBuilder`](crate::ScenarioBuilder).
+/// TOML/JSON; buildable with [`ScenarioBuilder`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Scenario name (report labels, file names).
@@ -175,6 +175,47 @@ pub struct TrafficSpec {
     pub per_flow: Vec<FlowProgram>,
 }
 
+impl TrafficSpec {
+    /// Reject traffic no engine can run: a NaN or negative scale would
+    /// offer meaningless demands (or trip the gravity matrix's
+    /// assertion), a zero `step_s` or sampling `interval_s` would
+    /// expand a segment into an unbounded schedule, and a non-finite
+    /// level or duration has no meaning. Checks the global program and
+    /// every per-flow override.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (field, v) = match self.scale {
+            ScaleSpec::MaxFeasibleFraction { fraction } => ("fraction", fraction),
+            ScaleSpec::TotalBps { bps } | ScaleSpec::PerFlowBps { bps } => ("bps", bps),
+        };
+        non_negative(&format_args!("traffic.scale.{field}"), v)?;
+        validate_program(&"traffic.program", &self.program)?;
+        for (i, fp) in self.per_flow.iter().enumerate() {
+            validate_program(&format_args!("traffic.per_flow[{i}].program"), &fp.program)?;
+        }
+        Ok(())
+    }
+}
+
+/// The segment knobs [`TrafficSpec::validate`] checks, for one program.
+fn validate_program(name: &dyn Display, program: &Program) -> Result<(), String> {
+    for (i, seg) in program.segments.iter().enumerate() {
+        let seg_name = format_args!("{name}.segments[{i}]");
+        non_negative(&format_args!("{seg_name}.duration_s"), seg.duration_s)?;
+        match &seg.shape {
+            Shape::Constant { level } => finite(&format_args!("{seg_name}.shape.level"), *level)?,
+            Shape::Steps { levels, step_s } => {
+                positive(&format_args!("{seg_name}.shape.step_s"), *step_s)?;
+                for (j, &level) in levels.iter().enumerate() {
+                    finite(&format_args!("{seg_name}.shape.levels[{j}]"), level)?;
+                }
+            }
+            // Every other shape is sampled every `interval_s`.
+            _ => positive(&format_args!("{seg_name}.interval_s"), seg.interval_s)?,
+        }
+    }
+    Ok(())
+}
+
 /// Where the routing tables come from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TablesSpec {
@@ -320,6 +361,28 @@ pub enum PeakSpec {
         /// The peak.
         bps: f64,
     },
+}
+
+impl PeakSpec {
+    /// Reject a NaN or negative peak knob (the replay would otherwise
+    /// run to a meaningless report).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (field, v) = match *self {
+            PeakSpec::OverAlwaysOn {
+                factor,
+                cap_over_full,
+                ..
+            } => {
+                if let Some(cap) = cap_over_full {
+                    non_negative(&"replay.trace.peak.cap_over_full", cap)?;
+                }
+                ("factor", factor)
+            }
+            PeakSpec::MaxFeasibleFraction { fraction } => ("fraction", fraction),
+            PeakSpec::TotalBps { bps } => ("bps", bps),
+        };
+        non_negative(&format_args!("replay.trace.peak.{field}"), v)
+    }
 }
 
 /// Which trace drives a replay.
@@ -686,6 +749,32 @@ impl Default for SimSpec {
     }
 }
 
+// Knob checks shared by the spec validators. Names are `Display`, so an
+// indexed name is formatted only on failure.
+fn positive(name: &dyn Display, v: f64) -> Result<(), String> {
+    if v.is_finite() && v > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite and > 0, got {v}"))
+    }
+}
+
+fn non_negative(name: &dyn Display, v: f64) -> Result<(), String> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite and >= 0, got {v}"))
+    }
+}
+
+fn finite(name: &dyn Display, v: f64) -> Result<(), String> {
+    if v.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("{name} must be finite, got {v}"))
+    }
+}
+
 impl SimSpec {
     /// Reject a simnet run the simulator cannot execute: a zero or
     /// non-finite sampling/control interval would reschedule its event
@@ -699,28 +788,6 @@ impl SimSpec {
         metrics: &MetricsSpec,
         events: &[EventSpec],
     ) -> Result<(), String> {
-        // Names are `Display`, so an event's is formatted only on failure.
-        let positive = |name: &dyn Display, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!("{name} must be finite and > 0, got {v}"))
-            }
-        };
-        let non_negative = |name: &dyn Display, v: f64| {
-            if v.is_finite() && v >= 0.0 {
-                Ok(())
-            } else {
-                Err(format!("{name} must be finite and >= 0, got {v}"))
-            }
-        };
-        let finite = |name: &dyn Display, v: f64| {
-            if v.is_finite() {
-                Ok(())
-            } else {
-                Err(format!("{name} must be finite, got {v}"))
-            }
-        };
         positive(&"sim.control_interval_s", self.control_interval_s)?;
         positive(&"sim.sample_interval_s", self.sample_interval_s)?;
         if let Some(dt) = metrics.timeseries_interval_s {
@@ -1079,17 +1146,17 @@ pub struct MetricsSpec {
     /// Attach an `ecp-telemetry` snapshot (event/decision counters,
     /// waterfill and idle-drain histograms, settle time, peak overload)
     /// to [`ScenarioReport::telemetry`](crate::ScenarioReport). Simnet
-    /// engine only; requires running through the traced entry points
-    /// (`run_scenario_traced` / `run_resolved_traced`).
+    /// engine only; requires a recording run ([`run`](fn@crate::run) or
+    /// [`run_resolved_traced`](crate::run_resolved_traced)).
     #[serde(default)]
     pub telemetry: bool,
     /// Capture the campaign-observatory timeseries (delivered fraction,
     /// power fraction, max arc utilization, overloaded-arc count,
     /// cumulative reconfig count) into
     /// [`TraceOutput::timeseries`](crate::TraceOutput). Simnet engine
-    /// only; surfaces through the traced entry points
-    /// (`run_scenario_traced` / `run_resolved_traced`), which is how
-    /// campaigns always run.
+    /// only; surfaces through a recording run ([`run`](fn@crate::run) or
+    /// [`run_resolved_traced`](crate::run_resolved_traced)), which is
+    /// how campaigns always run.
     #[serde(default)]
     pub timeseries: bool,
     /// Sampling interval for `timeseries` in seconds; defaults to the

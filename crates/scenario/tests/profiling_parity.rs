@@ -4,13 +4,32 @@
 //! span tree contract at the scenario level.
 
 use ecp_scenario::{
-    run_scenario, run_scenario_profiled, run_scenario_profiled_with_clock, run_scenario_traced,
-    ControlSpec, EventSpec, FakeClock, MatrixSpec, PairsSpec, ScaleSpec, ScenarioBuilder,
-    SweepRunner,
+    run, run_scenario, Capture, ControlSpec, EventSpec, FakeClock, MatrixSpec, MonoClock,
+    PairsSpec, ResolveCache, RunOutput, ScaleSpec, Scenario, ScenarioBuilder, SweepRunner,
 };
 use ecp_topo::gen::TopoSpec;
 use ecp_traffic::{Program, Shape};
 use proptest::prelude::*;
+
+/// A wall-clock profiled run without a cache.
+fn profiled(scenario: &Scenario) -> RunOutput {
+    run(
+        scenario,
+        None,
+        Capture::Profile(Box::new(MonoClock::default())),
+    )
+    .unwrap()
+}
+
+/// A profiled run on a deterministic clock.
+fn fake_profiled(scenario: &Scenario) -> RunOutput {
+    run(
+        scenario,
+        None,
+        Capture::Profile(Box::new(FakeClock::new(1e-6))),
+    )
+    .unwrap()
+}
 
 /// One of the six registry policy families, parameterized by two
 /// generic knobs in `(0, 1)` (mapped into each family's valid range).
@@ -81,7 +100,8 @@ proptest! {
     #[test]
     fn profiled_reports_are_byte_identical(scenario in arb_scenario()) {
         let plain = run_scenario(&scenario).unwrap();
-        let (profiled, trace, timing) = run_scenario_profiled(&scenario).unwrap();
+        let RunOutput { report: profiled, trace, timing } = profiled(&scenario);
+        let timing = timing.expect("profiled runs carry a timing");
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&profiled).unwrap()
@@ -89,7 +109,9 @@ proptest! {
 
         // The event lines under the Span lines are exactly the traced
         // run's lines, and the aggregated snapshot matches too.
-        let (traced_report, traced) = run_scenario_traced(&scenario).unwrap();
+        let RunOutput { report: traced_report, trace: traced, timing: traced_timing } =
+            run(&scenario, None, Capture::Trace).unwrap();
+        prop_assert!(traced_timing.is_none());
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced_report).unwrap()
@@ -123,40 +145,73 @@ proptest! {
     /// profiled runs agree on every count, duration, and self-time.
     #[test]
     fn fake_clock_span_trees_are_deterministic(scenario in arb_scenario()) {
-        let (ra, ta, tma) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
-        let (rb, tb, tmb) =
-            run_scenario_profiled_with_clock(&scenario, FakeClock::new(1e-6)).unwrap();
+        let a = fake_profiled(&scenario);
+        let b = fake_profiled(&scenario);
         prop_assert_eq!(
-            serde_json::to_string(&ra).unwrap(),
-            serde_json::to_string(&rb).unwrap()
+            serde_json::to_string(&a.report).unwrap(),
+            serde_json::to_string(&b.report).unwrap()
         );
-        prop_assert_eq!(&ta.lines, &tb.lines, "span lines included");
+        prop_assert_eq!(&a.trace.lines, &b.trace.lines, "span lines included");
         prop_assert_eq!(
-            serde_json::to_string(&tma).unwrap(),
-            serde_json::to_string(&tmb).unwrap()
+            serde_json::to_string(&a.timing).unwrap(),
+            serde_json::to_string(&b.timing).unwrap()
         );
+    }
+
+    /// The campaign executor's path — a traced run through a shared
+    /// `ResolveCache` — matches an uncached traced run in report, trace
+    /// lines, snapshot and observatory timeseries, on the miss that
+    /// plans the key and on the hit that reuses it.
+    #[test]
+    fn cached_traced_runs_match_uncached(scenario in arb_scenario()) {
+        let mut scenario = scenario;
+        scenario.metrics.timeseries = true;
+        let uncached = run(&scenario, None, Capture::Trace).unwrap();
+        prop_assert!(uncached.trace.timeseries.is_some());
+        let cache = ResolveCache::new();
+        for _ in 0..2 {
+            let cached = run(&scenario, Some(&cache), Capture::Trace).unwrap();
+            prop_assert_eq!(
+                serde_json::to_string(&cached.report).unwrap(),
+                serde_json::to_string(&uncached.report).unwrap()
+            );
+            prop_assert_eq!(&cached.trace.lines, &uncached.trace.lines);
+            prop_assert_eq!(&cached.trace.snapshot, &uncached.trace.snapshot);
+            prop_assert_eq!(&cached.trace.timeseries, &uncached.trace.timeseries);
+        }
+        prop_assert_eq!(cache.len(), 1);
     }
 }
 
-/// The `ResolveCache` profiled path records hit/miss spans and keeps
-/// report parity with the unprofiled cache path.
+/// A profiled run through a `ResolveCache` records hit/miss spans and
+/// keeps report parity with the unprofiled cache path.
 #[test]
 fn cache_profiling_records_hit_and_miss() {
-    use ecp_scenario::ResolveCache;
     let scenario = ScenarioBuilder::new("cache-profile")
         .topology(TopoSpec::small_waxman(8, 1))
         .pairs(PairsSpec::Random { count: 4 })
         .duration_s(2.0)
         .build();
     let cache = ResolveCache::new();
-    let (first, _, timing_miss) = cache.run_profiled(&scenario).unwrap();
+    let cached_profile = || {
+        let out = run(
+            &scenario,
+            Some(&cache),
+            Capture::Profile(Box::new(FakeClock::new(1e-6))),
+        )
+        .unwrap();
+        (
+            out.report,
+            out.timing.expect("profiled runs carry a timing"),
+        )
+    };
+    let (first, timing_miss) = cached_profile();
     assert!(timing_miss
         .span("resolve_cache_miss")
         .is_some_and(|s| s.count == 1));
     assert!(timing_miss.span("resolve_cache_hit").is_none());
 
-    let (second, _, timing_hit) = cache.run_profiled(&scenario).unwrap();
+    let (second, timing_hit) = cached_profile();
     assert!(timing_hit
         .span("resolve_cache_hit")
         .is_some_and(|s| s.count == 1));
@@ -171,7 +226,7 @@ fn cache_profiling_records_hit_and_miss() {
     );
 }
 
-/// `run_scenario_profiled` composes with sweep-style parameterization:
+/// Profiled `run` composes with sweep-style parameterization:
 /// profiled grid points match their unprofiled twins.
 #[test]
 fn profiled_sweep_points_match_unprofiled() {
@@ -184,10 +239,9 @@ fn profiled_sweep_points_match_unprofiled() {
     let runner = SweepRunner::new(scenario, vec![Axis::new(Param::Threshold, [0.7, 0.9])]);
     for (_, instance) in runner.instances() {
         let plain = run_scenario(&instance).unwrap();
-        let (profiled, _, _) = run_scenario_profiled(&instance).unwrap();
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&profiled).unwrap()
+            serde_json::to_string(&profiled(&instance).report).unwrap()
         );
     }
 }

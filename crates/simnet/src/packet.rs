@@ -264,7 +264,7 @@ pub fn run_packet_sim_full(
         .enumerate()
         .map(|(i, f)| {
             let mut d = delays[i].clone();
-            d.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            d.sort_by(|a, b| a.total_cmp(b));
             let delivered = d.len();
             let mean = if delivered > 0 {
                 d.iter().sum::<f64>() / delivered as f64

@@ -144,7 +144,7 @@ pub enum TelemetryEvent {
     Span {
         /// Simulation time the span closed at.
         t: f64,
-        /// Span name ([`profile::SpanName::name`]).
+        /// Span name ([`SpanName::name`]).
         name: String,
         /// Wall seconds from profiling start to span entry.
         start_s: f64,

@@ -37,6 +37,12 @@ pub trait Clock {
     fn now_s(&mut self) -> f64;
 }
 
+impl<C: Clock + ?Sized> Clock for Box<C> {
+    fn now_s(&mut self) -> f64 {
+        (**self).now_s()
+    }
+}
+
 /// Monotonic wall clock (the default).
 #[derive(Debug, Clone)]
 pub struct MonoClock {

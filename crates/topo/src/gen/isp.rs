@@ -145,7 +145,7 @@ fn rocketfuel_like(name: &str, n: usize, target_links: usize, seed: u64) -> Topo
     order.sort_by(|&a, &b| {
         let ta = (pos[a].1 - cy).atan2(pos[a].0 - cx);
         let tb = (pos[b].1 - cy).atan2(pos[b].0 - cx);
-        ta.partial_cmp(&tb).unwrap()
+        ta.total_cmp(&tb)
     });
 
     let mut links: Vec<(usize, usize)> = Vec::new();
@@ -350,7 +350,7 @@ mod tests {
         // A transatlantic link (touching NewYork, node 21) must be the slowest.
         let max_arc = t
             .arc_ids()
-            .max_by(|&x, &y| t.arc(x).latency.partial_cmp(&t.arc(y).latency).unwrap())
+            .max_by(|&x, &y| t.arc(x).latency.total_cmp(&t.arc(y).latency))
             .unwrap();
         let arc = t.arc(max_arc);
         assert!(arc.src == NodeId(21) || arc.dst == NodeId(21));

@@ -100,7 +100,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    s.sort_by(|a, b| a.total_cmp(b));
     let rank = ((p / 100.0) * (s.len() as f64 - 1.0)).round() as usize;
     s[rank.min(s.len() - 1)]
 }

@@ -61,7 +61,7 @@ impl Trace {
     pub fn offpeak_matrix(&self) -> TrafficMatrix {
         self.matrices
             .iter()
-            .min_by(|a, b| a.total().partial_cmp(&b.total()).unwrap())
+            .min_by(|a, b| a.total().total_cmp(&b.total()))
             .cloned()
             .unwrap_or_else(TrafficMatrix::empty)
     }
@@ -262,7 +262,7 @@ mod tests {
         // "in almost 50% cases the traffic changes at least by 20%").
         let at20 = ccdf
             .iter()
-            .min_by(|a, b| (a.0 - 20.0).abs().partial_cmp(&(b.0 - 20.0).abs()).unwrap())
+            .min_by(|a, b| (a.0 - 20.0).abs().total_cmp(&(b.0 - 20.0).abs()))
             .unwrap()
             .1;
         assert!(
